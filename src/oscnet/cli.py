@@ -281,16 +281,7 @@ def build_report(model, graph, tol=VERDICT_TOL):
         report["verdicts"]["pure_dissipative"] = _verdict_dict(
             pure_dissipative_check(system, tol=tol))
     if system.n >= 2 and np.any(system.lap_restorative):
-        bound = weak_coupling_bound(system)
-        report["weak_coupling"] = {
-            "sigma_bar": bound.sigma_bar, "mu_bar": bound.mu_bar,
-            "gamma_bar": bound.gamma_bar, "norm_G": bound.norm_g,
-            "norm_B": bound.norm_b, "c": bound.c, "radius": bound.radius,
-            "hypothesis_margins": bound.hypothesis_margins.tolist(),
-            "lambda2_dissipative_blocks":
-                bound.lambda2_dissipative_blocks.tolist(),
-            "applicable": bound.applicable, "status": bound.status,
-            "diagnostic": bound.diagnostic}
+        report["weak_coupling"] = weak_coupling_bound(system).to_dict()
     if graph.commensurable is not None:
         cm = commensurable_check(system, tol=tol)
         report["commensurable"] = {
@@ -353,15 +344,7 @@ def _cmd_simulate(args):
 def _cmd_bound(args):
     model, graph = parse_config(args.config)
     system = normalize(model, graph)
-    bound = weak_coupling_bound(system)
-    doc = {"sigma_bar": bound.sigma_bar, "mu_bar": bound.mu_bar,
-           "gamma_bar": bound.gamma_bar, "norm_G": bound.norm_g,
-           "norm_B": bound.norm_b, "c": bound.c, "radius": bound.radius,
-           "hypothesis_margins": bound.hypothesis_margins.tolist(),
-           "lambda2_dissipative_blocks": bound.lambda2_dissipative_blocks.tolist(),
-           "applicable": bound.applicable, "status": bound.status,
-           "diagnostic": bound.diagnostic}
-    text = dumps_json(doc) + "\n"
+    text = dumps_json(weak_coupling_bound(system).to_dict()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

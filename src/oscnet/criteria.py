@@ -66,13 +66,6 @@ def _resolve_eps(sys, eps):
     return e
 
 
-def _complex_spectral_norm(g):
-    # The real embedding [[X, -Y], [Y, X]] of X + jY has the same singular
-    # values (each doubled), so its spectral norm matches.
-    embed = np.block([[g.real, -g.imag], [g.imag, g.real]])
-    return spectral_norm(embed)
-
-
 def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerdict:
     """Spectral synchronization test.
 
@@ -84,7 +77,7 @@ def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerd
     gam = admittance_matrix(sys, e)
     vals = complex_eig(gam)
     re = np.sort(vals.real)
-    tau = tol * max(_complex_spectral_norm(gam), 1.0)
+    tau = tol * max(spectral_norm(gam), 1.0)
     count = int(np.count_nonzero(re <= tau))
     margin = float(re[sys.n]) if re.size > sys.n else math.inf
     return _classify(sys.n, count, margin, tau, "spectral")
@@ -244,7 +237,7 @@ def harmonic_check(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerdict:
     else:
         crit = ld + 1j * e * lr
         re = np.sort(complex_eig(crit).real)
-        tau = tol * max(_complex_spectral_norm(crit), 1.0)
+        tau = tol * max(spectral_norm(crit), 1.0)
         count = int(np.count_nonzero(re <= tau))
         margin = float(re[1])
     return _classify(1, count, margin, tau, "harmonic")
@@ -274,6 +267,17 @@ class WeakCouplingBound:
     applicable: bool
     status: str = "ok"
     diagnostic: str | None = None
+
+    def to_dict(self):
+        """Plain dict in the key order of the ``bound`` and ``analyze`` output."""
+        return {"sigma_bar": self.sigma_bar, "mu_bar": self.mu_bar,
+                "gamma_bar": self.gamma_bar, "norm_G": self.norm_g,
+                "norm_B": self.norm_b, "c": self.c, "radius": self.radius,
+                "hypothesis_margins": self.hypothesis_margins.tolist(),
+                "lambda2_dissipative_blocks":
+                    self.lambda2_dissipative_blocks.tolist(),
+                "applicable": self.applicable, "status": self.status,
+                "diagnostic": self.diagnostic}
 
 
 def weak_coupling_bound(sys: ArraySystem) -> WeakCouplingBound:
@@ -425,7 +429,7 @@ def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
                                    obs_d, obs_r, margin)
     crit = ell_d + 1j * ell_r
     re = np.sort(complex_eig(crit).real)
-    tau = tol * max(_complex_spectral_norm(crit), 1.0)
+    tau = tol * max(spectral_norm(crit), 1.0)
     margin = float(re[1])
     sufficient = bool(margin > 10.0 * tau and obs_d and obs_r)
     radius = None

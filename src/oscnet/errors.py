@@ -14,7 +14,7 @@ class InvalidModelError(OscnetError):
 
 
 class NumericalFailureError(OscnetError):
-    """An iterative kernel exhausted its budget without converging."""
+    """A LAPACK eigenvalue or singular value routine failed to converge."""
 
 
 class UnsupportedConfigurationError(OscnetError):

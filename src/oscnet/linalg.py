@@ -1,10 +1,10 @@
-"""Dense eigenvalue kernels and subspace utilities.
+"""Dense eigenvalue wrappers and subspace utilities.
 
-Self-contained solvers sized for the small, well-scaled matrices this
-package produces (dimension well under 200): cyclic Jacobi sweeps for real
-symmetric eigenproblems and a single-shift Hessenberg QR iteration for
-general complex spectra.  Tolerances are relative to the spectral norm of
-the operand unless stated otherwise.
+The eigenvalue work goes to LAPACK through ``numpy.linalg``: ``syevd`` for
+real symmetric eigenproblems and ``geev`` for general complex spectra.  The
+wrappers check their input, fix the output order, and report a LAPACK
+failure as :class:`NumericalFailureError`.  Tolerances are relative to the
+spectral norm of the operand unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from .errors import InvalidInputError, NumericalFailureError
 DEFAULT_RANK_TOL = 1e-9
 # Two eigenvalues with gap <= CLUSTER_GAP_TOL * scale share an eigenspace.
 CLUSTER_GAP_TOL = 1e-8
-
-_JACOBI_OFF_TARGET = 1e-13  # off-diagonal Frobenius mass relative to ||A||_F
-_JACOBI_MAX_SWEEPS = 60
-_QR_DEFLATION = 1e-14
-_QR_MAX_ITER = 40
 
 
 def _as_matrix(a, name, dtype=float):
@@ -43,8 +38,15 @@ def _as_square(a, name, dtype=float):
     return m
 
 
+def _lapack(name, routine, *args):
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"{name}: LAPACK failed: {exc}") from exc
+
+
 def sym_eig(a):
-    """Eigendecomposition of a real symmetric matrix via cyclic Jacobi sweeps.
+    """Eigendecomposition of a real symmetric matrix (LAPACK ``syevd``).
 
     Returns ``(w, q)`` with eigenvalues ``w`` sorted ascending and
     orthonormal eigenvectors in the columns of ``q``, so that
@@ -55,228 +57,30 @@ def sym_eig(a):
     InvalidInputError
         If the input is not square or not symmetric to within
         ``1e-12 * ||a||_F``.
+    NumericalFailureError
+        If LAPACK fails to converge.
     """
     m = _as_square(a, "sym_eig")
     fro = np.linalg.norm(m, "fro")
     if np.linalg.norm(m - m.T, "fro") > 1e-12 * fro:
         raise InvalidInputError("sym_eig: matrix is not symmetric")
-    n = m.shape[0]
-    work = 0.5 * (m + m.T)
-    vecs = np.eye(n)
-    if n > 1 and fro > 0.0:
-        _jacobi(work, vecs, fro)
-    vals = work.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return _lapack("sym_eig", np.linalg.eigh, 0.5 * (m + m.T))
 
 
-def _jacobi(w, vecs, fro):
-    n = w.shape[0]
-    target = _JACOBI_OFF_TARGET * fro
-    # Skipping rotations below this keeps the final off-diagonal mass under
-    # target even if every skipped entry survives.
-    skip = target / (n * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * np.sum(np.triu(w, 1) ** 2))
-        if off <= target:
-            return
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = w[p, r]
-                if abs(apq) <= skip:
-                    continue
-                app = w[p, p]
-                aqq = w[r, r]
-                tau = (aqq - app) / (2.0 * apq)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = w[:, p].copy()
-                colr = w[:, r].copy()
-                w[:, p] = c * colp - s * colr
-                w[:, r] = s * colp + c * colr
-                rowp = w[p, :].copy()
-                rowr = w[r, :].copy()
-                w[p, :] = c * rowp - s * rowr
-                w[r, :] = s * rowp + c * rowr
-                w[p, p] = app - t * apq
-                w[r, r] = aqq + t * apq
-                w[p, r] = 0.0
-                w[r, p] = 0.0
-                vp = vecs[:, p].copy()
-                vr = vecs[:, r].copy()
-                vecs[:, p] = c * vp - s * vr
-                vecs[:, r] = s * vp + c * vr
-    raise NumericalFailureError("sym_eig: Jacobi sweeps failed to converge")
-
-
-def complex_eig(a, max_iterations=_QR_MAX_ITER):
+def complex_eig(a):
     """Eigenvalues (with multiplicity) of a square complex matrix.
 
-    Balances the matrix, reduces it to upper Hessenberg form with Householder
-    reflections, then runs a single-shift QR iteration with Wilkinson shifts.
+    Uses LAPACK ``geev`` (balancing, Hessenberg reduction, shifted QR).
     The returned array is sorted by (real part, imaginary part).
 
     Raises
     ------
     NumericalFailureError
-        If an eigenvalue fails to deflate within ``max_iterations`` QR steps;
-        the message names the stalled index.
+        If LAPACK fails to converge.
     """
     m = _as_square(a, "complex_eig", dtype=complex)
-    if m.shape[0] == 1:
-        return m.diagonal().copy()
-    h = _hessenberg(_balance(m))
-    vals = _hessenberg_qr(h, max_iterations)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
-def _balance(a):
-    """Diagonal similarity scaling (powers of 2) to equalize row/column norms."""
-    b = a.copy()
-    n = b.shape[0]
-    radix = 2.0
-    for _ in range(32):
-        converged = True
-        for i in range(n):
-            c = np.sum(np.abs(b[:, i])) - abs(b[i, i])
-            r = np.sum(np.abs(b[i, :])) - abs(b[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if c + r < 0.95 * s:
-                converged = False
-                b[i, :] /= f
-                b[:, i] *= f
-        if converged:
-            break
-    return b
-
-
-def _hessenberg(a):
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        phase = v[0] / abs(v[0]) if v[0] != 0.0 else 1.0
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig2(block):
-    """Both eigenvalues of a 2x2 complex block, the small one via the determinant."""
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    mid = 0.5 * (a + d)
-    disc = np.sqrt(np.complex128(0.25 * (a - d) ** 2 + b * c))
-    lam1 = mid + disc
-    lam2 = mid - disc
-    det = a * d - b * c
-    if abs(lam1) >= abs(lam2):
-        if lam1 != 0.0:
-            lam2 = det / lam1
-    elif lam2 != 0.0:
-        lam1 = det / lam2
-    return lam1, lam2
-
-
-def _wilkinson_shift(block):
-    corner = block[1, 1]
-    lam1, lam2 = _eig2(block)
-    return lam1 if abs(lam1 - corner) <= abs(lam2 - corner) else lam2
-
-
-def _givens(f, g):
-    """Rotation [[c, s], [-conj(s), c]] (c real) zeroing g against f."""
-    if g == 0.0:
-        return 1.0, 0.0 + 0.0j
-    if f == 0.0:
-        return 0.0, np.conj(g) / abs(g)
-    d = np.hypot(abs(f), abs(g))
-    c = abs(f) / d
-    s = (f / abs(f)) * np.conj(g) / d
-    return c, s
-
-
-def _qr_step(h, lo, hi, mu):
-    """One explicit shifted QR step on the active window [lo, hi]."""
-    idx = np.arange(lo, hi + 1)
-    h[idx, idx] -= mu
-    rots = []
-    for k in range(lo, hi):
-        c, s = _givens(h[k, k], h[k + 1, k])
-        rots.append((c, s))
-        top = c * h[k, k:] + s * h[k + 1, k:]
-        bot = -np.conj(s) * h[k, k:] + c * h[k + 1, k:]
-        h[k, k:] = top
-        h[k + 1, k:] = bot
-        h[k + 1, k] = 0.0
-    for k in range(lo, hi):
-        c, s = rots[k - lo]
-        stop = min(k + 2, hi) + 1
-        colk = h[:stop, k].copy()
-        colk1 = h[:stop, k + 1].copy()
-        h[:stop, k] = c * colk + np.conj(s) * colk1
-        h[:stop, k + 1] = -s * colk + c * colk1
-    h[idx, idx] += mu
-
-
-def _hessenberg_qr(h, budget):
-    n = h.shape[0]
-    vals = np.empty(n, dtype=complex)
-    hi = n - 1
-    iters = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0 and abs(h[lo, lo - 1]) > _QR_DEFLATION * (
-                abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])):
-            lo -= 1
-        if lo > 0:
-            h[lo, lo - 1] = 0.0
-        if lo == hi:
-            vals[hi] = h[hi, hi]
-            hi -= 1
-            iters = 0
-            continue
-        if lo == hi - 1:
-            vals[hi - 1], vals[hi] = _eig2(h[hi - 1:hi + 1, hi - 1:hi + 1])
-            hi -= 2
-            iters = 0
-            continue
-        if iters >= budget:
-            raise NumericalFailureError(
-                f"complex_eig: QR iteration stalled at index {hi} "
-                f"after {budget} steps")
-        iters += 1
-        if iters % 10 == 0:
-            # Ad-hoc shift to break symmetric stalls.
-            mu = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            mu = _wilkinson_shift(h[hi - 1:hi + 1, hi - 1:hi + 1])
-        _qr_step(h, lo, hi, mu)
-    return vals
+    vals = _lapack("complex_eig", np.linalg.eigvals, m)
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 @dataclass(frozen=True)
@@ -342,13 +146,12 @@ def subspace_intersection(u, v, tol=DEFAULT_RANK_TOL):
 
 
 def spectral_norm(a):
-    """Largest singular value of a real matrix (via the Gram eigenproblem)."""
-    m = _as_matrix(a, "spectral_norm")
+    """Largest singular value of a real or complex matrix (LAPACK SVD)."""
+    m = np.asarray(a)
+    m = _as_matrix(m, "spectral_norm", complex if np.iscomplexobj(m) else float)
     if m.size == 0:
         return 0.0
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    vals, _ = sym_eig(0.5 * (gram + gram.T))
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    return float(_lapack("spectral_norm", np.linalg.norm, m, 2))
 
 
 def eigenvalue_clusters(values, gap):

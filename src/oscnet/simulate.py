@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import subspace_analysis
 from .errors import InvalidInputError
-from .linalg import orthonormal_columns, sym_eig
+from .linalg import orthonormal_columns, spectral_norm, sym_eig
 from .model import ArraySystem, array_stiffness
 
 # RK4 keeps purely oscillatory modes stable up to |omega * dt| = 2*sqrt(2);
@@ -90,13 +90,8 @@ def energy(sys: ArraySystem, z, zdot, eps=None) -> float:
 
 
 def _omega_max(sys, eps):
-    s = array_stiffness(sys, eps)
-    svals, _ = sym_eig(s)
-    ld_norm = 0.0
-    if np.any(sys.lap_dissipative):
-        dvals, _ = sym_eig(sys.lap_dissipative)
-        ld_norm = max(abs(dvals[0]), abs(dvals[-1]))
-    return math.sqrt(max(svals[-1], 0.0)) + 2.0 * ld_norm
+    svals, _ = sym_eig(array_stiffness(sys, eps))
+    return math.sqrt(max(svals[-1], 0.0)) + 2.0 * spectral_norm(sys.lap_dissipative)
 
 
 def default_time_step(sys: ArraySystem, eps=None) -> float:
@@ -124,17 +119,19 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
             f"state dimension must be {dim}, got {z.size} and {v.size}")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise InvalidInputError("initial state must be finite")
-    omega_max = _omega_max(sys, e)
     if dt is None:
-        dt = min(0.01, 0.1 / omega_max)
-    dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    if omega_max > 0.0 and dt > _STABILITY_LIMIT / omega_max:
-        raise InvalidInputError(
-            f"dt={dt:.6g} exceeds the stability bound "
-            f"{_STABILITY_LIMIT / omega_max:.6g}; "
-            f"try dt={min(0.01, 0.1 / omega_max):.6g}")
+        # the default step lies well inside the stability bound
+        dt = default_time_step(sys, e)
+    else:
+        dt = float(dt)
+        if not np.isfinite(dt) or dt <= 0.0:
+            raise InvalidInputError(f"dt must be positive, got {dt}")
+        omega_max = _omega_max(sys, e)
+        if omega_max > 0.0 and dt > _STABILITY_LIMIT / omega_max:
+            raise InvalidInputError(
+                f"dt={dt:.6g} exceeds the stability bound "
+                f"{_STABILITY_LIMIT / omega_max:.6g}; "
+                f"try dt={default_time_step(sys, e):.6g}")
     t_final = float(t_final)
     if t_final < dt:
         raise InvalidInputError(f"t_final must be at least dt={dt:.6g}")

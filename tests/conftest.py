@@ -1,7 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
-Oracles deliberately go through numpy/LAPACK (or plain combinatorics) so
-they share no code path with the package's own kernels.
+Oracles go through numpy/LAPACK or plain combinatorics.  The package's
+eigenvalue wrappers also call LAPACK, so an oracle here is independent
+only in the matrix it solves: ``charpoly_roots`` reaches LAPACK through
+``np.roots``, but on the companion matrix of the characteristic
+polynomial, not on the matrix itself.
 """
 
 import numpy as np

@@ -175,9 +175,25 @@ class TestAnalyze:
         from oscnet import NumericalFailureError
 
         def boom(*args, **kwargs):
-            raise NumericalFailureError("QR iteration stalled at index 0")
+            raise NumericalFailureError("eigenvalues did not converge")
 
         monkeypatch.setattr(cli_mod, "sync_check_spectral", boom)
+        assert main(["analyze", damper_pair_config]) == 2
+
+    def test_lapack_failure_is_numerical_failure(self, damper_pair_config,
+                                                 monkeypatch):
+        import oscnet.linalg as linalg_mod
+        from oscnet import NumericalFailureError, complex_eig, sym_eig
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(linalg_mod.np.linalg, "eigvals", boom)
+        monkeypatch.setattr(linalg_mod.np.linalg, "eigh", boom)
+        with pytest.raises(NumericalFailureError, match="complex_eig"):
+            complex_eig(np.eye(2))
+        with pytest.raises(NumericalFailureError, match="sym_eig"):
+            sym_eig(np.eye(2))
         assert main(["analyze", damper_pair_config]) == 2
 
     def test_report_invariant_methods_agree_or_flagged(self, bound_example_config):

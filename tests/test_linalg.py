@@ -106,12 +106,6 @@ class TestComplexEig:
         with pytest.raises(InvalidInputError):
             complex_eig(np.zeros((3, 2)))
 
-    def test_exhausted_budget_names_stalled_index(self, rng):
-        from oscnet import NumericalFailureError
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        with pytest.raises(NumericalFailureError, match="index 5"):
-            complex_eig(a, max_iterations=0)
-
 
 class TestNullspace:
     def test_edge_laplacian_kernel(self):
@@ -218,6 +212,14 @@ class TestSpectralNorm:
         a = f @ f.T
         vals, _ = sym_eig(a)
         assert spectral_norm(a) == pytest.approx(vals[-1], rel=1e-10)
+
+    def test_complex_matches_real_embedding(self, rng):
+        # [[X, -Y], [Y, X]] has the singular values of X + jY, each doubled
+        x = rng.standard_normal((5, 5))
+        y = rng.standard_normal((5, 5))
+        embed = np.block([[x, -y], [y, x]])
+        ref = np.linalg.svd(embed, compute_uv=False)[0]
+        assert spectral_norm(x + 1j * y) == pytest.approx(ref, rel=1e-10)
 
 
 class TestHelpers:
