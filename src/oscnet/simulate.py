@@ -21,40 +21,46 @@ from .model import ArraySystem, array_stiffness
 # RK4 keeps purely oscillatory modes stable up to |omega * dt| = 2*sqrt(2);
 # user-supplied steps are rejected beyond this fraction of that limit.
 _STABILITY_LIMIT = 2.5
+# Rows per block for the derived columns and the CSV writer; bounds temporaries.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """One integrated trajectory on a uniform time grid.
+    """One integrated trajectory on a uniform time grid, kept in one table.
 
-    ``sync_error[k]`` is the distance of the position state from the
-    synchronous subspace (all oscillators equal) at ``times[k]``;
-    ``energy`` is the quadratic energy driving the dissipation argument.
+    ``table`` has a row per grid point and the columns ``t, e, W, z, v``,
+    of which ``times``, ``sync_error``, ``energy``, ``positions`` (qn
+    mass-normalized) and ``velocities`` are views.  ``sync_error[k]`` is the
+    distance of the position state from the synchronous subspace (all
+    oscillators equal) at ``times[k]``; ``energy`` is the quadratic energy
+    driving the dissipation argument.
     """
 
-    times: np.ndarray       # (m,)
-    positions: np.ndarray   # (m, qn) mass-normalized positions
-    velocities: np.ndarray  # (m, qn)
-    energy: np.ndarray      # (m,)
-    sync_error: np.ndarray  # (m,)
+    table: np.ndarray       # (m, 3 + 2 qn)
     dt: float
     epsilon: float
     seed: int | None = None
 
+    times = property(lambda self: self.table[:, 0])
+    sync_error = property(lambda self: self.table[:, 1])
+    energy = property(lambda self: self.table[:, 2])
+    positions = property(lambda self: self.table[:, 3:(self.table.shape[1] + 3) // 2])
+    velocities = property(lambda self: self.table[:, (self.table.shape[1] + 3) // 2:])
+
     def to_csv(self, path):
         """Write the trace as CSV with 17 significant digits per number."""
         qn = self.positions.shape[1]
-        header = ("t,e,W,"
-                  + ",".join(f"z_{i + 1}" for i in range(qn)) + ","
-                  + ",".join(f"v_{i + 1}" for i in range(qn)))
+        names = [f"{c}_{i + 1}" for c in "zv" for i in range(qn)]
+        header = ",".join(["t", "e", "W", *names])
+        row = ",".join(["%.17g"] * self.table.shape[1]) + "\n"
         with open(path, "w", newline="") as fh:
             if self.seed is not None:
                 fh.write(f"# seed={self.seed}\n")
             fh.write(header + "\n")
-            for k in range(self.times.size):
-                row = [self.times[k], self.sync_error[k], self.energy[k],
-                       *self.positions[k], *self.velocities[k]]
-                fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+            for lo in range(0, len(self.table), _BLOCK):
+                block = self.table[lo:lo + _BLOCK]
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,9 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
               seed=None) -> SimulationTrace:
     """Integrate the array from ``(z0, v0)`` up to at least ``t_final``.
 
-    Classical fixed-step 4th-order integration of the first-order form of
-    the mass-normalized dynamics.  ``dt`` defaults to
+    Classical fixed-step 4th-order Runge-Kutta on the first-order form of
+    the mass-normalized dynamics, applied as one precomputed propagator
+    matrix that fills the trace table row by row.  ``dt`` defaults to
     :func:`default_time_step`; steps beyond the stability limit are
     rejected with a suggested value.
     """
@@ -112,8 +119,8 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
     s = array_stiffness(sys, e)
     ld = sys.lap_dissipative
     dim = s.shape[0]
-    z = np.asarray(z0, dtype=float).ravel().copy()
-    v = np.asarray(v0, dtype=float).ravel().copy()
+    z = np.asarray(z0, dtype=float).ravel()
+    v = np.asarray(v0, dtype=float).ravel()
     if z.size != dim or v.size != dim:
         raise InvalidInputError(
             f"state dimension must be {dim}, got {z.size} and {v.size}")
@@ -137,37 +144,28 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
         raise InvalidInputError(f"t_final must be at least dt={dt:.6g}")
     steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
 
-    q, n = sys.q, sys.n
-    times = dt * np.arange(steps + 1)
-    positions = np.empty((steps + 1, dim))
-    velocities = np.empty((steps + 1, dim))
-    energies = np.empty(steps + 1)
-    errors = np.empty(steps + 1)
-
-    def record(k, z, v):
-        positions[k] = z
-        velocities[k] = v
-        energies[k] = 0.5 * (z @ (s @ z)) + 0.5 * (v @ v)
-        errors[k] = sync_error(z, q, n)
-
-    record(0, z, v)
-    half = 0.5 * dt
-    for k in range(1, steps + 1):
-        a1 = -(s @ z) - ld @ v
-        z2 = z + half * v
-        v2 = v + half * a1
-        a2 = -(s @ z2) - ld @ v2
-        z3 = z + half * v2
-        v3 = v + half * a2
-        a3 = -(s @ z3) - ld @ v3
-        z4 = z + dt * v3
-        v4 = v + dt * a3
-        a4 = -(s @ z4) - ld @ v4
-        z = z + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        record(k, z, v)
-    return SimulationTrace(times, positions, velocities, energies, errors,
-                           dt, e, seed)
+    # x' = A x with x = (z, v) is linear and time-invariant, so one RK4 step
+    # is x <- P(dt A) x, P(h) = 1 + h + h^2/2 + h^3/6 + h^4/24 (Horner's rule).
+    ha = dt * np.block([[np.zeros((dim, dim)), np.eye(dim)], [-s, -ld]])
+    prop = eye = np.eye(2 * dim)
+    for c in (4.0, 3.0, 2.0, 1.0):
+        prop = eye + (ha @ prop) / c
+    step = prop.T
+    table = np.empty((steps + 1, 3 + 2 * dim))
+    table[:, 0] = dt * np.arange(steps + 1)
+    x = table[:, 3:]
+    x[0, :dim], x[0, dim:] = z, v
+    for k in range(steps):
+        np.dot(x[k], step, out=x[k + 1])
+    for lo in range(0, steps + 1, _BLOCK):
+        rows = table[lo:lo + _BLOCK]
+        zb, vb = rows[:, 3:3 + dim], rows[:, 3 + dim:]
+        block = zb.reshape(-1, sys.q, sys.n)
+        dev = block - block.mean(axis=1, keepdims=True)
+        rows[:, 1] = np.linalg.norm(dev, axis=(1, 2))
+        rows[:, 2] = 0.5 * (np.einsum("ki,ki->k", zb @ s, zb)
+                            + np.einsum("ki,ki->k", vb, vb))
+    return SimulationTrace(table, dt, e, seed)
 
 
 def random_initial_state(sys: ArraySystem, seed=0, scale=1.0):
@@ -184,7 +182,7 @@ def counterexample_ic(sys: ArraySystem, eps=None) -> CounterexampleMode | None:
     highest-frequency eigenspace of the position coupling that meets the
     null space of the dissipative Laplacian outside the synchronous
     subspace, the first basis direction after removing the synchronous
-    component.
+    component, signed so that its largest-magnitude entry is positive.
     """
     analysis = subspace_analysis(sys, eps)
     if analysis.count <= sys.n:
@@ -196,6 +194,8 @@ def counterexample_ic(sys: ArraySystem, eps=None) -> CounterexampleMode | None:
         deflated = (block - block.mean(axis=0)).reshape(q * n, -1)
         basis = orthonormal_columns(deflated, drop_tol=1e-6)
         if basis.shape[1]:
+            # the solver leaves the sign free; fix it so traces do not depend on it
+            shape = basis[:, 0] * np.sign(basis[np.argmax(np.abs(basis[:, 0])), 0])
             omega = math.sqrt(rho)
-            return CounterexampleMode(omega, basis[:, 0], 2.0 * math.pi / omega)
+            return CounterexampleMode(omega, shape, 2.0 * math.pi / omega)
     return None

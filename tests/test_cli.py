@@ -252,6 +252,27 @@ class TestSimulateCommand:
         last = [float(tok) for tok in lines[-1].split(",")]
         assert last[1] == pytest.approx(first[1], abs=1e-4)  # periodic error
 
+    def test_counterexample_csv_repeats_with_fixed_sign(self, tmp_path):
+        # node 3 hangs free, so the array keeps the undamped mode (1, 1, -2);
+        # the --seed pair is test_deterministic_csv above
+        doc = {"n": 1, "q": 3, "M": [[1.0]], "K": [[1.0]],
+               "dissipative": [{"i": 1, "j": 2, "W": [[1.0]]}],
+               "restorative": []}
+        cfg = tmp_path / "loose.json"
+        cfg.write_text(json.dumps(doc))
+        blobs = []
+        for name in ("c1.csv", "c2.csv"):
+            out = tmp_path / name
+            assert main(["simulate", str(cfg), "--counterexample",
+                         "--t-final", "20", "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        first = blobs[0].decode().splitlines()[1].split(",")
+        z = np.array([float(tok) for tok in first[3:6]])
+        # the largest-magnitude entry of the starting shape is positive
+        assert np.argmax(np.abs(z)) == 2 and z[2] > 0
+        assert np.allclose(z, np.array([-1.0, -1.0, 2.0]) / np.sqrt(6.0), atol=1e-12)
+
 
 class TestSweep:
     def test_margins_below_radius_are_yes(self, bound_example_config, tmp_path):

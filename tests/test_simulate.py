@@ -126,6 +126,39 @@ class TestIntegrate:
         trace = integrate(system, big_sqrt @ x, big_sqrt @ xd, t_final, dt=dt)
         assert np.allclose(trace.positions[-1], big_sqrt @ xs, atol=1e-9)
 
+    def test_propagator_matches_stagewise_rk4(self):
+        # one precomputed propagator per call must reproduce the four-stage
+        # RK4 loop step for step, on a horizon that is not a whole number of steps
+        from oscnet import array_stiffness
+        rng = np.random.default_rng(2024)
+        system = random_system(rng, q=4, n=3, connected=True,
+                               with_restorative=True)
+        s, ld = array_stiffness(system), system.lap_dissipative
+        z, v = random_initial_state(system, seed=11)
+        dt = default_time_step(system)
+        trace = integrate(system, z, v, 1999.5 * dt)
+
+        zs, vs = [z], [v]
+        for _ in range(2000):
+            a1 = -(s @ z) - ld @ v
+            z2, v2 = z + 0.5 * dt * v, v + 0.5 * dt * a1
+            a2 = -(s @ z2) - ld @ v2
+            z3, v3 = z + 0.5 * dt * v2, v + 0.5 * dt * a2
+            a3 = -(s @ z3) - ld @ v3
+            z4, v4 = z + dt * v3, v + dt * a3
+            a4 = -(s @ z4) - ld @ v4
+            z = z + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            zs.append(z)
+            vs.append(v)
+        ref = np.hstack([np.array(zs), np.array(vs)])
+
+        assert trace.times.size == 2001
+        assert np.array_equal(trace.times, dt * np.arange(2001))
+        got = np.hstack([trace.positions, trace.velocities])
+        scale = np.linalg.norm(ref, axis=1).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
 
 class TestEnergy:
     def test_zero_state(self, damped_pair):
@@ -197,6 +230,30 @@ class TestCounterexample:
             block = mode.shape.reshape(system.q, system.n)
             assert np.linalg.norm(block - block.mean(axis=0)) > 1e-6
 
+    def test_shape_sign_does_not_follow_the_solver(self, monkeypatch):
+        # the solver may hand over either sign of each eigenvector; the
+        # returned shape has its largest-magnitude entry positive either way
+        import dataclasses
+        from oscnet import SubspaceBasis, simulate
+        model = OscillatorModel(np.eye(1), np.array([[1.0]]))
+        graph = CouplingGraph(3, dissipative=((1, 2, np.array([[1.0]])),))
+        system = normalize(model, graph)
+        mode = counterexample_ic(system)
+        assert mode.shape[np.argmax(np.abs(mode.shape))] > 0
+        assert np.allclose(mode.shape, np.array([-1.0, -1.0, 2.0]) / np.sqrt(6.0),
+                           atol=1e-12)
+
+        solved = simulate.subspace_analysis
+
+        def negated(*args, **kwargs):
+            analysis = solved(*args, **kwargs)
+            flipped = tuple((rho, SubspaceBasis(b.ambient, -b.vectors, b.tol))
+                            for rho, b in analysis.components)
+            return dataclasses.replace(analysis, components=flipped)
+
+        monkeypatch.setattr(simulate, "subspace_analysis", negated)
+        assert np.array_equal(counterexample_ic(system).shape, mode.shape)
+
     def test_periodic_trajectory(self):
         # the certified mode returns to its initial error every period
         rng = np.random.default_rng(99)
@@ -242,6 +299,40 @@ class TestTraceExport:
             trace.to_csv(path)
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+    @staticmethod
+    def reference_csv(trace):
+        """The trace as a per-value ``format(x, ".17g")`` writer gives it."""
+        qn = trace.positions.shape[1]
+        lines = [] if trace.seed is None else [f"# seed={trace.seed}"]
+        lines.append(",".join(["t", "e", "W"] + [f"z_{i + 1}" for i in range(qn)]
+                              + [f"v_{i + 1}" for i in range(qn)]))
+        for k in range(trace.times.size):
+            row = [trace.times[k], trace.sync_error[k], trace.energy[k],
+                   *trace.positions[k], *trace.velocities[k]]
+            lines.append(",".join(format(float(x), ".17g") for x in row))
+        return "".join(line + "\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_csv_matches_per_value_writer(self, tmp_path, rng, seed):
+        system = random_system(rng, q=4, n=3, connected=True,
+                               with_restorative=True)
+        z0, v0 = random_initial_state(system, seed=4)
+        z0[[0, 5]] = -0.0
+        v0[2] = -0.0
+        # more rows than one write block, and a partial last block
+        trace = integrate(system, z0, v0, 700.5 * default_time_step(system),
+                          seed=seed)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        data = path.read_bytes()
+        assert data == self.reference_csv(trace)
+        lines = data.decode().splitlines()
+        assert (lines[0] == f"# seed={seed}") == (seed is not None)
+        body = lines[1 + (seed is not None):]
+        tokens = [tok for line in body for tok in line.split(",")]
+        assert "-0" in body[0].split(",")
+        assert all(format(float(tok), ".17g") == tok for tok in tokens)
 
 
 def test_yes_verdict_decays_from_many_starts():
