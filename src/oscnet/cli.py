@@ -10,23 +10,24 @@ Exit codes: 0 success, 1 invalid model or config, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .criteria import (VERDICT_TOL, commensurable_check, harmonic_check,
-                       modal_transform, pure_dissipative_check,
-                       sync_check_spectral, sync_check_subspace,
-                       weak_coupling_bound)
+                       pure_dissipative_check, sync_check_spectral,
+                       sync_check_subspace, weak_coupling_bound)
 from .errors import (ConfigError, InvalidInputError, InvalidModelError,
                      NumericalFailureError, OscnetError,
                      UnsupportedConfigurationError)
-from .linalg import CLUSTER_GAP_TOL, DEFAULT_RANK_TOL, complex_eig, sym_eig
+from .linalg import CLUSTER_GAP_TOL, DEFAULT_RANK_TOL
 from .model import (CouplingEdge, CouplingGraph, OscillatorModel,
-                    _check_weight, build_mass_spring_chain,
+                    _check_placement, build_mass_spring_chain,
                     commensurable_graph, normalize)
 from .simulate import (counterexample_ic, default_time_step, integrate,
                        random_initial_state)
@@ -71,11 +72,12 @@ def _edges(entries, field, q, errors):
             errors.append(f"{where}: i and j must be integers")
             continue
         try:
-            _check_weight(i, j, w, q)
+            edge = CouplingEdge(i, j, w)
+            _check_placement(edge, q)
         except InvalidModelError as exc:
             errors.append(str(exc))
             continue
-        out.append(CouplingEdge(i, j, w))
+        out.append(edge)
     return out
 
 
@@ -230,15 +232,6 @@ def dumps_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _verdict_dict(v):
-    return {"synchronizes": v.synchronizes,
-            "imaginary_axis_count": v.imaginary_axis_count,
-            "margin": v.margin,
-            "method": v.method,
-            "tolerance": v.tolerance,
-            "diagnostic": v.diagnostic}
-
-
 def build_report(model, graph, tol=VERDICT_TOL):
     """Full analysis report for one configuration (plain dict)."""
     system = normalize(model, graph)
@@ -253,9 +246,6 @@ def build_report(model, graph, tol=VERDICT_TOL):
         status = "ok"
     else:
         status = "discrepancy"
-    mf = modal_transform(system)
-    lambda2 = [float(sym_eig(mf.dissipative_blocks[k, k])[0][1]) if system.q > 1
-               else math.inf for k in range(system.n)]
     report = {
         "tool": {"name": "oscnet", "version": __version__},
         "model": {"q": system.q, "n": system.n,
@@ -263,36 +253,23 @@ def build_report(model, graph, tol=VERDICT_TOL):
                   "epsilon": graph.epsilon},
         "tolerances": {"verdict": tol, "rank": DEFAULT_RANK_TOL,
                        "cluster": CLUSTER_GAP_TOL},
-        "verdicts": {"spectral": _verdict_dict(spectral),
-                     "subspace": _verdict_dict(subspace)},
+        "verdicts": {"spectral": asdict(spectral), "subspace": asdict(subspace)},
         "status": status,
     }
+    springs = np.any(system.lap_restorative)
     if system.q > 1:
-        margins = []
-        for k in range(system.n):
-            block = (mf.dissipative_blocks[k, k]
-                     + 1j * mf.restorative_blocks[k, k])
-            margins.append(float(np.sort(complex_eig(block).real)[1]))
-        report["modal_blocks"] = {"lambda2_dissipative": lambda2,
-                                  "re_lambda2_combined": margins}
+        report["modal_blocks"] = {
+            "lambda2_dissipative": system.modal.dissipative_spectra[:, 1],
+            "re_lambda2_combined": system.modal.combined_real[:, 1]}
     if system.n == 1:
-        report["verdicts"]["harmonic"] = _verdict_dict(harmonic_check(system, tol=tol))
-    if not np.any(system.lap_restorative):
-        report["verdicts"]["pure_dissipative"] = _verdict_dict(
+        report["verdicts"]["harmonic"] = asdict(harmonic_check(system, tol=tol))
+    if not springs:
+        report["verdicts"]["pure_dissipative"] = asdict(
             pure_dissipative_check(system, tol=tol))
-    if system.n >= 2 and np.any(system.lap_restorative):
+    if system.n >= 2 and springs:
         report["weak_coupling"] = weak_coupling_bound(system).to_dict()
     if graph.commensurable is not None:
-        cm = commensurable_check(system, tol=tol)
-        report["commensurable"] = {
-            "verdict": _verdict_dict(cm.verdict) if cm.verdict else None,
-            "weak_coupling_sufficient": cm.weak_coupling_sufficient,
-            "radius": cm.radius,
-            "alpha": cm.alpha.tolist(), "beta": cm.beta.tolist(),
-            "observable_dissipative": cm.observable_dissipative,
-            "observable_restorative": cm.observable_restorative,
-            "scalar_margin": cm.scalar_margin,
-            "diagnostic": cm.diagnostic}
+        report["commensurable"] = asdict(commensurable_check(system, tol=tol))
     return report
 
 
@@ -371,7 +348,9 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="oscnet",
         description="Synchronization analysis for arrays of identical "

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 from .linalg import (CLUSTER_GAP_TOL, DEFAULT_RANK_TOL, SubspaceBasis,
                      complex_eig, eigenvalue_clusters, orthonormal_columns,
                      spectral_norm, subspace_intersection, sym_eig,
                      nullspace_basis)
-from .model import (ArraySystem, admittance_matrix, array_stiffness,
-                    modal_permutation)
+from .model import (ArraySystem, ModalBlocks, _resolve_eps, admittance_matrix,
+                    array_stiffness)
 
 # An eigenvalue counts as on the imaginary axis when its real part is at
 # most VERDICT_TOL * max(scale, 1); margins within 10x of that threshold
@@ -57,13 +57,6 @@ def _classify(n_expected, count, margin, tau, method, diagnostic=None):
             diagnostic = (f"margin {margin:.6e} is within 10x of the "
                           f"on-axis tolerance {tau:.6e}")
     return SyncVerdict(verdict, count, float(margin), method, tau, diagnostic)
-
-
-def _resolve_eps(sys, eps):
-    e = sys.graph.epsilon if eps is None else float(eps)
-    if not np.isfinite(e) or e < 0.0:
-        raise InvalidInputError(f"epsilon must be finite and >= 0, got {e}")
-    return e
 
 
 def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerdict:
@@ -151,38 +144,21 @@ def sync_check_subspace(sys: ArraySystem, eps=None,
 
 
 @dataclass(frozen=True)
-class ModalForm:
-    """Mode-by-mode reshuffle of the array matrices.
+class ModalForm(ModalBlocks):
+    """The modal blocks of the array (:attr:`ArraySystem.modal`) plus its
+    criterion matrix at ``epsilon`` in the same mode-major order
+    (``admittance``), which is similar to the original one."""
 
-    ``dissipative``/``restorative`` are the block Laplacians conjugated by
-    the mode shapes and permuted so entry (k, l) of ``*_blocks`` is the
-    q x q block coupling modes k and l (0-based).  ``admittance`` is the
-    permuted criterion matrix, similar to the original one.
-    """
-
-    dissipative: np.ndarray        # qn x qn, PSD
-    restorative: np.ndarray        # qn x qn, PSD
-    dissipative_blocks: np.ndarray  # (n, n, q, q)
-    restorative_blocks: np.ndarray
     admittance: np.ndarray         # qn x qn complex
-    permutation: np.ndarray        # qn x qn, 0/1
     epsilon: float
 
 
 def modal_transform(sys: ArraySystem, eps=None) -> ModalForm:
     """Conjugate the array matrices by the mode shapes and regroup by mode."""
     e = _resolve_eps(sys, eps)
-    q, n = sys.q, sys.n
-    by_mode = np.kron(np.eye(q), sys.mode_shapes)
-    perm = modal_permutation(q, n)
-    g = perm.T @ (by_mode.T @ sys.lap_dissipative @ by_mode) @ perm
-    b = perm.T @ (by_mode.T @ sys.lap_restorative @ by_mode) @ perm
-    g = 0.5 * (g + g.T)
-    b = 0.5 * (b + b.T)
-    omega = g + 1j * (np.kron(np.diag(sys.freqs_sq), np.eye(q)) + e * b)
-    g_blocks = g.reshape(n, q, n, q).swapaxes(1, 2)
-    b_blocks = b.reshape(n, q, n, q).swapaxes(1, 2)
-    return ModalForm(g, b, g_blocks, b_blocks, omega, perm, e)
+    m = sys.modal
+    s = np.kron(np.diag(sys.freqs_sq), np.eye(sys.q)) + e * m.restorative
+    return ModalForm(**vars(m), admittance=m.dissipative + 1j * s, epsilon=e)
 
 
 def pure_dissipative_check(sys: ArraySystem, tol=VERDICT_TOL) -> SyncVerdict:
@@ -200,8 +176,7 @@ def pure_dissipative_check(sys: ArraySystem, tol=VERDICT_TOL) -> SyncVerdict:
     if q == 1:
         return SyncVerdict("yes", n, math.inf, "pure_dissipative",
                            tol, "single oscillator is trivially synchronous")
-    mf = modal_transform(sys, eps=0.0)
-    spectra = [sym_eig(mf.dissipative_blocks[k, k])[0] for k in range(n)]
+    spectra = sys.modal.dissipative_spectra
     scale = max(max(abs(v[0]), abs(v[-1])) for v in spectra)
     tau = tol * max(scale, 1.0)
     count = sum(int(np.count_nonzero(v <= tau)) for v in spectra)
@@ -291,20 +266,17 @@ def weak_coupling_bound(sys: ArraySystem) -> WeakCouplingBound:
         raise UnsupportedConfigurationError(
             "the weak-coupling bound requires at least one nonzero restorative "
             "weight; use pure_dissipative_check instead")
-    mf = modal_transform(sys, eps=1.0)
+    mf = sys.modal
     freqs = sys.freqs_sq
     sigma_bar = 0.5 * float(np.min(np.diff(freqs)))
     ones = np.full(q, 1.0 / math.sqrt(q))
     mu_gaps = []
     gamma_sq = []
-    margins = np.empty(n)
-    lambda2_g = np.empty(n)
+    margins = mf.combined_real[:, 1].copy()
+    lambda2_g = mf.dissipative_spectra[:, 1].copy()
     for k in range(n):
         gkk = mf.dissipative_blocks[k, k]
-        bkk = mf.restorative_blocks[k, k]
-        gvals, _ = sym_eig(gkk)
-        lambda2_g[k] = gvals[1]
-        bvals, bvecs = sym_eig(bkk)
+        bvals, bvecs = sym_eig(mf.restorative_blocks[k, k])
         bscale = max(abs(bvals[0]), abs(bvals[-1]))
         clusters = eigenvalue_clusters(bvals, CLUSTER_GAP_TOL * bscale)
         if len(clusters) > 1:
@@ -318,8 +290,6 @@ def weak_coupling_bound(sys: ArraySystem) -> WeakCouplingBound:
                 restricted = w.T @ gkk @ w
                 rvals, _ = sym_eig(0.5 * (restricted + restricted.T))
                 gamma_sq.append(float(rvals[0]))
-        cvals = complex_eig(gkk + 1j * bkk)
-        margins[k] = np.sort(cvals.real)[1]
     norm_g = spectral_norm(mf.dissipative)
     norm_b = spectral_norm(mf.restorative)
     gamma_bar = math.sqrt(max(min(gamma_sq), 0.0)) if gamma_sq else 0.0
@@ -371,14 +341,15 @@ class CommensurableReport:
 
 
 def _observability(c, shapes, rank_tol):
-    """Per-mode output energies ||C v_k||^2 and the eigenvector-based
-    observability flag (every mode must produce nonzero output)."""
+    """Per-mode output energies ||C v_k||^2 and, per mode, whether it
+    produces nonzero output (the eigenvector observability test needs
+    every mode to)."""
     prod = c @ shapes
     energies = np.sum(prod * prod, axis=0)
     c_norm = spectral_norm(c)
     col_norms = np.linalg.norm(shapes, axis=0)
     thresholds = (rank_tol * c_norm * col_norms) ** 2
-    return energies, bool(np.all(energies > thresholds))
+    return energies, energies > thresholds
 
 
 def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
@@ -389,8 +360,9 @@ def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
         raise UnsupportedConfigurationError(
             "commensurable_check requires commensurable coupling data")
     shapes = sys.mode_shapes_physical
-    alpha, obs_d = _observability(cc.c_dissipative, shapes, rank_tol)
-    beta, obs_r = _observability(cc.c_restorative, shapes, rank_tol)
+    alpha, seen_d = _observability(cc.c_dissipative, shapes, rank_tol)
+    beta, seen_r = _observability(cc.c_restorative, shapes, rank_tol)
+    obs_d, obs_r = bool(np.all(seen_d)), bool(np.all(seen_r))
     ell_d = sys.scalar_lap_dissipative
     ell_r = sys.scalar_lap_restorative
     n, q = sys.n, sys.q
@@ -399,8 +371,9 @@ def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
                               "single oscillator is trivially synchronous")
         return CommensurableReport(verdict, None, None, alpha, beta,
                                    obs_d, obs_r, math.inf)
-    pure = not np.any(ell_r)
-    if pure:
+    # Springs count as present only when some restorative weight is
+    # nonzero, as in the other checks: r edges with C_r = 0 carry none.
+    if not np.any(sys.lap_restorative):
         vals, _ = sym_eig(ell_d)
         scale = max(abs(vals[0]), abs(vals[-1]))
         tau = tol * max(scale, 1.0)
@@ -408,10 +381,7 @@ def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
         zeros_d = int(np.count_nonzero(vals <= tau))
         # Unobserved modes see no dissipation at all, so every one of their
         # q directions stays on the axis.
-        obs_thresholds = (rank_tol * spectral_norm(cc.c_dissipative)
-                          * np.linalg.norm(shapes, axis=0)) ** 2
-        count = sum(zeros_d if alpha[k] > obs_thresholds[k] else q
-                    for k in range(n))
+        count = sum(zeros_d if seen else q for seen in seen_d)
         if margin > 10.0 * tau and obs_d:
             verdict_str = "yes"
             diagnostic = None

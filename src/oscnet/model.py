@@ -11,11 +11,12 @@ criterion matrix used by the synchronization tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidModelError
-from .linalg import sym_eig
+from .linalg import complex_eig, sym_eig
 
 SPD_TOL = 1e-12          # smallest eigenvalue must exceed SPD_TOL * largest
 WEIGHT_TOL = 1e-12       # symmetry / PSD slack for coupling weights, relative
@@ -36,21 +37,12 @@ def _check_spd(m, name):
     fro = np.linalg.norm(m, "fro")
     if np.linalg.norm(m - m.T, "fro") > 1e-12 * fro:
         raise InvalidModelError(f"{name}: matrix must be symmetric")
-    vals, _ = sym_eig(m)
+    vals, vecs = sym_eig(m)
     if vals[-1] <= 0.0 or vals[0] <= SPD_TOL * vals[-1]:
         raise InvalidModelError(
             f"{name}: matrix must be positive definite "
             f"(eigenvalue range [{vals[0]:.3e}, {vals[-1]:.3e}])")
-
-
-def _normal_form(mass, stiffness):
-    """Return (M^{-1/2}, P, squared frequencies, mode shapes) for one unit."""
-    mvals, mvecs = sym_eig(mass)
-    m_inv_sqrt = (mvecs / np.sqrt(mvals)) @ mvecs.T
-    p = m_inv_sqrt @ stiffness @ m_inv_sqrt
-    p = 0.5 * (p + p.T)
-    freqs_sq, shapes = sym_eig(p)
-    return m_inv_sqrt, p, freqs_sq, shapes
+    return vals, vecs
 
 
 def _check_distinct_freqs(freqs_sq):
@@ -69,24 +61,30 @@ class OscillatorModel:
 
     The squared natural frequencies (eigenvalues of ``M^{-1/2} K M^{-1/2}``)
     must be pairwise distinct; models violating that are rejected here
-    rather than analyzed incorrectly.
+    rather than analyzed incorrectly.  ``normal_form`` keeps the tuple
+    (M^{-1/2}, P, squared frequencies, mode shapes) worked out on the way.
     """
 
     mass: np.ndarray
     stiffness: np.ndarray
+    normal_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mass = _readonly(self.mass)
         stiffness = _readonly(self.stiffness)
-        _check_spd(mass, "mass matrix")
+        mvals, mvecs = _check_spd(mass, "mass matrix")
         _check_spd(stiffness, "stiffness matrix")
         if mass.shape != stiffness.shape:
             raise InvalidModelError(
                 f"mass and stiffness shapes differ: {mass.shape} vs {stiffness.shape}")
-        _, _, freqs_sq, _ = _normal_form(mass, stiffness)
+        m_inv_sqrt = (mvecs / np.sqrt(mvals)) @ mvecs.T
+        p = m_inv_sqrt @ stiffness @ m_inv_sqrt
+        p = 0.5 * (p + p.T)
+        freqs_sq, shapes = sym_eig(p)
         _check_distinct_freqs(freqs_sq)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", stiffness)
+        object.__setattr__(self, "normal_form", (m_inv_sqrt, p, freqs_sq, shapes))
 
     @property
     def n(self) -> int:
@@ -116,20 +114,11 @@ def build_mass_spring_chain(masses, springs) -> OscillatorModel:
     return OscillatorModel(np.diag(masses), stiffness)
 
 
-def _check_weight(i, j, w, q, n=None):
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-        raise InvalidModelError(f"edge ({i},{j}): indices must be integers")
+def _check_weight(i, j, w):
     if i == j:
         raise InvalidModelError(f"edge ({i},{j}): self-loops are not allowed")
-    if not 1 <= i < j <= q:
-        raise InvalidModelError(
-            f"edge ({i},{j}): expected 1 <= i < j <= {q} (edges are stored once)")
-    w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] == 0:
         raise InvalidModelError(f"edge ({i},{j}): weight must be a square matrix")
-    if n is not None and w.shape[0] != n:
-        raise InvalidModelError(
-            f"edge ({i},{j}): weight is {w.shape[0]}x{w.shape[0]}, expected {n}x{n}")
     if not np.all(np.isfinite(w)):
         raise InvalidModelError(f"edge ({i},{j}): weight entries must be finite")
     fro = np.linalg.norm(w, "fro")
@@ -141,12 +130,27 @@ def _check_weight(i, j, w, q, n=None):
         raise InvalidModelError(
             f"edge ({i},{j}): weight must be positive semidefinite "
             f"(smallest eigenvalue {vals[0]:.3e})")
-    return w
+
+
+def _check_placement(edge, q, n=None):
+    """Checks of an edge against the array it joins; the weight itself was
+    checked when the edge was made."""
+    i, j = edge.i, edge.j
+    if not 1 <= i < j <= q:
+        raise InvalidModelError(
+            f"edge ({i},{j}): expected 1 <= i < j <= {q} (edges are stored once)")
+    if n is not None and edge.weight.shape[0] != n:
+        raise InvalidModelError(
+            f"edge ({i},{j}): weight is {edge.weight.shape[0]}x{edge.weight.shape[0]}, "
+            f"expected {n}x{n}")
 
 
 @dataclass(frozen=True)
 class CouplingEdge:
-    """One undirected edge (i < j, 1-based) with a PSD matrix weight."""
+    """One undirected edge (i < j, 1-based) with a PSD matrix weight.
+
+    The weight is checked once, here; ``j <= q`` where the edge joins an array.
+    """
 
     i: int
     j: int
@@ -156,6 +160,7 @@ class CouplingEdge:
         object.__setattr__(self, "i", int(self.i))
         object.__setattr__(self, "j", int(self.j))
         object.__setattr__(self, "weight", _readonly(self.weight))
+        _check_weight(self.i, self.j, self.weight)
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ class CouplingGraph:
             seen = set()
             for e in getattr(self, name):
                 edge = e if isinstance(e, CouplingEdge) else CouplingEdge(*e)
-                _check_weight(edge.i, edge.j, edge.weight, q, n)
+                _check_placement(edge, q, n)
                 if (edge.i, edge.j) in seen:
                     raise InvalidModelError(
                         f"edge ({edge.i},{edge.j}) appears twice in {name}")
@@ -305,6 +310,15 @@ def commensurable_graph(c_dissipative, c_restorative, d_scalars, r_scalars,
     return CouplingGraph(cc.q, d_edges, r_edges, epsilon, commensurable=cc)
 
 
+def _add_edge(lap, i, j, w, n):
+    bi = (i - 1) * n
+    bj = (j - 1) * n
+    lap[bi:bi + n, bi:bi + n] += w
+    lap[bj:bj + n, bj:bj + n] += w
+    lap[bi:bi + n, bj:bj + n] -= w
+    lap[bj:bj + n, bi:bi + n] -= w
+
+
 def build_laplacian(weights, q, n):
     """Block Laplacian of matrix-weighted edges on q nodes.
 
@@ -314,15 +328,30 @@ def build_laplacian(weights, q, n):
     """
     lap = np.zeros((q * n, q * n))
     for e in weights:
-        i, j, w = (e.i, e.j, e.weight) if isinstance(e, CouplingEdge) else e
-        w = _check_weight(int(i), int(j), w, q, n)
-        bi = (int(i) - 1) * n
-        bj = (int(j) - 1) * n
-        lap[bi:bi + n, bi:bi + n] += w
-        lap[bj:bj + n, bj:bj + n] += w
-        lap[bi:bi + n, bj:bj + n] -= w
-        lap[bj:bj + n, bi:bi + n] -= w
+        edge = e if isinstance(e, CouplingEdge) else CouplingEdge(*e)
+        _check_placement(edge, q, n)
+        _add_edge(lap, edge.i, edge.j, edge.weight, n)
     return lap
+
+
+@dataclass(frozen=True)
+class ModalBlocks:
+    """The coupling of an array regrouped mode by mode; independent of eps.
+
+    ``dissipative`` (G) and ``restorative`` (B) are the block Laplacians
+    conjugated by the mode shapes and reordered mode-major, so that entry
+    (k, l) of ``*_blocks`` is the q x q block coupling modes k and l
+    (0-based).  Row k of ``dissipative_spectra`` holds the ascending
+    eigenvalues of G_kk, row k of ``combined_real`` the ascending real
+    parts of the eigenvalues of G_kk + j B_kk.
+    """
+
+    dissipative: np.ndarray          # qn x qn, PSD
+    restorative: np.ndarray          # qn x qn, PSD
+    dissipative_blocks: np.ndarray   # (n, n, q, q) view of dissipative
+    restorative_blocks: np.ndarray
+    dissipative_spectra: np.ndarray  # (n, q)
+    combined_real: np.ndarray        # (n, q)
 
 
 @dataclass(frozen=True)
@@ -355,6 +384,26 @@ class ArraySystem:
     def n(self) -> int:
         return self.model.n
 
+    @cached_property
+    def modal(self) -> ModalBlocks:
+        """Modal blocks and per-mode spectra, computed on first use."""
+        q, n = self.q, self.n
+        by_mode = np.kron(np.eye(q), self.mode_shapes)
+        # index (node, mode) -> (mode, node) on both sides
+        g, b = (
+            (by_mode.T @ lap @ by_mode).reshape(q, n, q, n)
+            .transpose(1, 0, 3, 2).reshape(q * n, q * n)
+            for lap in (self.lap_dissipative, self.lap_restorative))
+        g = 0.5 * (g + g.T)
+        b = 0.5 * (b + b.T)
+        g_blocks = g.reshape(n, q, n, q).swapaxes(1, 2)
+        b_blocks = b.reshape(n, q, n, q).swapaxes(1, 2)
+        return ModalBlocks(
+            g, b, g_blocks, b_blocks,
+            np.array([sym_eig(g_blocks[k, k])[0] for k in range(n)]),
+            np.array([complex_eig(g_blocks[k, k] + 1j * b_blocks[k, k]).real
+                      for k in range(n)]))
+
 
 def normalize(model: OscillatorModel, graph: CouplingGraph) -> ArraySystem:
     """Move the array to mass-normalized coordinates and derive its matrices."""
@@ -362,18 +411,15 @@ def normalize(model: OscillatorModel, graph: CouplingGraph) -> ArraySystem:
     if graph.n is not None and graph.n != n:
         raise InvalidModelError(
             f"coupling weights are {graph.n}x{graph.n} but the model has n={n}")
-    m_inv_sqrt, p, freqs_sq, shapes = _normal_form(model.mass, model.stiffness)
-    _check_distinct_freqs(freqs_sq)
-
-    def transform(edges):
-        out = []
+    m_inv_sqrt, p, freqs_sq, shapes = model.normal_form
+    # The weights were checked when their edges were made, and congruence
+    # by M^{-1/2} keeps them symmetric PSD.
+    lap_d = np.zeros((graph.q * n, graph.q * n))
+    lap_r = np.zeros_like(lap_d)
+    for lap, edges in ((lap_d, graph.dissipative), (lap_r, graph.restorative)):
         for e in edges:
             w = m_inv_sqrt @ e.weight @ m_inv_sqrt
-            out.append(CouplingEdge(e.i, e.j, 0.5 * (w + w.T)))
-        return out
-
-    lap_d = build_laplacian(transform(graph.dissipative), graph.q, n)
-    lap_r = build_laplacian(transform(graph.restorative), graph.q, n)
+            _add_edge(lap, e.i, e.j, 0.5 * (w + w.T), n)
     scalar_d = scalar_r = None
     if graph.commensurable is not None:
         cc = graph.commensurable
@@ -394,25 +440,17 @@ def normalize(model: OscillatorModel, graph: CouplingGraph) -> ArraySystem:
     )
 
 
-def modal_permutation(q: int, n: int) -> np.ndarray:
-    """Permutation matrix exchanging Kronecker factor order.
-
-    Satisfies ``perm.T @ kron(X, Y) @ perm == kron(Y, X)`` for every
-    q x q ``X`` and n x n ``Y``.
-    """
-    perm = np.zeros((q * n, q * n))
-    for a in range(q):
-        for b in range(n):
-            perm[a * n + b, b * q + a] = 1.0
-    return perm
+def _resolve_eps(sys, eps):
+    e = sys.graph.epsilon if eps is None else float(eps)
+    if not np.isfinite(e) or e < 0.0:
+        raise InvalidInputError(f"epsilon must be finite and >= 0, got {e}")
+    return e
 
 
 def array_stiffness(sys: ArraySystem, eps=None) -> np.ndarray:
     """Position-coupling matrix of the array: block stiffness plus eps times
     the restorative Laplacian.  Symmetric positive definite."""
-    e = sys.graph.epsilon if eps is None else float(eps)
-    if not np.isfinite(e) or e < 0.0:
-        raise InvalidInputError(f"epsilon must be finite and >= 0, got {e}")
+    e = _resolve_eps(sys, eps)
     s = np.kron(np.eye(sys.q), sys.normalized_stiffness) + e * sys.lap_restorative
     return 0.5 * (s + s.T)
 

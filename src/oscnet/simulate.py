@@ -78,10 +78,21 @@ class CounterexampleMode:
     period: float
 
 
+def _sync_errors(z, q, n):
+    """Distance of each row of stacked positions from the synchronous subspace."""
+    block = z.reshape(-1, q, n)
+    return np.linalg.norm(block - block.mean(axis=1, keepdims=True), axis=(1, 2))
+
+
+def _energies(s, z, zdot):
+    """Quadratic energy of each row of positions and velocities."""
+    return 0.5 * (np.einsum("ki,ki->k", z @ s, z)
+                  + np.einsum("ki,ki->k", zdot, zdot))
+
+
 def sync_error(z, q, n) -> float:
     """Distance of a stacked position vector from the synchronous subspace."""
-    block = np.reshape(z, (q, n))
-    return float(np.linalg.norm(block - block.mean(axis=0)))
+    return float(_sync_errors(np.reshape(z, (1, q * n)), q, n)[0])
 
 
 def energy(sys: ArraySystem, z, zdot, eps=None) -> float:
@@ -92,7 +103,7 @@ def energy(sys: ArraySystem, z, zdot, eps=None) -> float:
     if z.size != s.shape[0] or zdot.size != s.shape[0]:
         raise InvalidInputError(
             f"state dimension must be {s.shape[0]}, got {z.size} and {zdot.size}")
-    return float(0.5 * (z @ (s @ z)) + 0.5 * (zdot @ zdot))
+    return float(_energies(s, z[None], zdot[None])[0])
 
 
 def _omega_max(sys, eps):
@@ -140,8 +151,9 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
                 f"{_STABILITY_LIMIT / omega_max:.6g}; "
                 f"try dt={default_time_step(sys, e):.6g}")
     t_final = float(t_final)
-    if t_final < dt:
-        raise InvalidInputError(f"t_final must be at least dt={dt:.6g}")
+    if not dt <= t_final < math.inf:
+        raise InvalidInputError(
+            f"t_final must be finite and at least dt={dt:.6g}, got {t_final}")
     steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
 
     # x' = A x with x = (z, v) is linear and time-invariant, so one RK4 step
@@ -160,11 +172,8 @@ def integrate(sys: ArraySystem, z0, v0, t_final, eps=None, dt=None,
     for lo in range(0, steps + 1, _BLOCK):
         rows = table[lo:lo + _BLOCK]
         zb, vb = rows[:, 3:3 + dim], rows[:, 3 + dim:]
-        block = zb.reshape(-1, sys.q, sys.n)
-        dev = block - block.mean(axis=1, keepdims=True)
-        rows[:, 1] = np.linalg.norm(dev, axis=(1, 2))
-        rows[:, 2] = 0.5 * (np.einsum("ki,ki->k", zb @ s, zb)
-                            + np.einsum("ki,ki->k", vb, vb))
+        rows[:, 1] = _sync_errors(zb, sys.q, sys.n)
+        rows[:, 2] = _energies(s, zb, vb)
     return SimulationTrace(table, dt, e, seed)
 
 

@@ -196,6 +196,27 @@ class TestAnalyze:
             sym_eig(np.eye(2))
         assert main(["analyze", damper_pair_config]) == 2
 
+    def test_commensurable_zero_restorative_output(self, tmp_path):
+        # r carries an edge but C_r = 0, so no restorative weight is nonzero:
+        # the array is purely dissipative and has no weak-coupling bound
+        doc = {"n": 2, "q": 3, "M": [[1.0, 0.0], [0.0, 1.0]],
+               "K": [[1.0, 0.0], [0.0, 4.0]],
+               "commensurable": {"C_d": [[1.0, 1.0]], "C_r": [[0.0, 0.0]],
+                                 "d": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                                 "r": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}}
+        cfg = tmp_path / "zero_cr.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "zero_cr_report.json"
+        assert main(["analyze", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "ok"
+        assert "weak_coupling" not in report
+        verdicts = dict(report["verdicts"],
+                        commensurable=report["commensurable"]["verdict"])
+        assert set(verdicts) == {"spectral", "subspace", "pure_dissipative",
+                                 "commensurable"}
+        assert all(v["synchronizes"] == "yes" for v in verdicts.values())
+
     def test_report_invariant_methods_agree_or_flagged(self, bound_example_config):
         model, graph = parse_config(bound_example_config)
         report = build_report(model, graph)
@@ -228,6 +249,15 @@ class TestSimulateCommand:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("t_final", ["inf", "nan"])
+    def test_nonfinite_horizon_is_invalid_input(self, damper_pair_config,
+                                                tmp_path, capsys, t_final):
+        out = tmp_path / "never.csv"
+        assert main(["simulate", damper_pair_config, "--t-final", t_final,
+                     "--out", str(out)]) == 1
+        assert "t_final must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_counterexample_on_synchronizing_array(self, damper_pair_config,
                                                    tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from oscnet import (CouplingGraph, InvalidInputError, OscillatorModel,
                     build_laplacian, counterexample_ic, default_time_step,
                     energy, integrate, normalize, random_initial_state,
-                    sync_check_subspace)
+                    sync_check_subspace, sync_error)
 
 from conftest import random_model, random_system
 
@@ -82,6 +82,24 @@ class TestIntegrate:
     def test_rejects_short_horizon(self, damped_pair):
         with pytest.raises(InvalidInputError):
             integrate(damped_pair, [1.0, 0.0], [0.0, 0.0], 1e-4, dt=0.01)
+
+    def test_columns_match_public_formulas(self, rng):
+        system = random_system(rng, q=3, n=2, connected=True,
+                               with_restorative=True)
+        z0, v0 = random_initial_state(system, seed=3)
+        trace = integrate(system, z0, v0, 3.0, dt=0.01)
+        for k in (0, 1, 150, trace.times.size - 1):
+            z, v = trace.positions[k], trace.velocities[k]
+            assert trace.sync_error[k] == pytest.approx(sync_error(z, 3, 2),
+                                                        rel=1e-13)
+            assert trace.energy[k] == pytest.approx(energy(system, z, v),
+                                                    rel=1e-13)
+
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan])
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_rejects_nonfinite_horizon(self, damped_pair, t_final, dt):
+        with pytest.raises(InvalidInputError, match="finite"):
+            integrate(damped_pair, [1.0, 0.0], [0.0, 0.0], t_final, dt=dt)
 
     def test_x_coordinate_consistency(self, rng):
         # integrating the original coordinates and mapping by M^{1/2} agrees
