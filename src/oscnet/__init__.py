@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, InvalidInputError, InvalidModelError,
                      NumericalFailureError, OscnetError,
                      UnsupportedConfigurationError)
-from .linalg import (SubspaceBasis, complex_eig, nullspace_basis,
-                     spectral_norm, subspace_intersection, sym_eig)
+from .linalg import complex_eig, nullspace_basis, spectral_norm, sym_eig
 from .model import (ArraySystem, CommensurableCoupling, CouplingEdge,
                     CouplingGraph, OscillatorModel, admittance_matrix,
                     array_stiffness, build_laplacian, build_mass_spring_chain,
@@ -34,7 +33,7 @@ __all__ = [
     "ConfigError", "CounterexampleMode", "CouplingEdge", "CouplingGraph",
     "InvalidInputError", "InvalidModelError", "ModalForm",
     "NumericalFailureError", "OscillatorModel", "OscnetError",
-    "SimulationTrace", "SubspaceBasis", "SyncVerdict",
+    "SimulationTrace", "SyncVerdict",
     "UnsupportedConfigurationError", "WeakCouplingBound",
     "admittance_matrix", "array_stiffness", "build_laplacian",
     "build_mass_spring_chain", "build_report", "commensurable_check",
@@ -42,7 +41,7 @@ __all__ = [
     "counterexample_ic", "default_time_step", "energy", "harmonic_check",
     "integrate", "modal_transform", "normalize", "nullspace_basis",
     "parse_config", "pure_dissipative_check", "random_initial_state",
-    "spectral_norm", "subspace_intersection", "sym_eig",
+    "spectral_norm", "sym_eig",
     "sync_check_spectral", "sync_check_subspace", "sync_error",
     "weak_coupling_bound", "write_config",
 ]

@@ -66,9 +66,8 @@ def _edges(entries, field, q, errors):
         w = _matrix(entry["W"], f"{where}.W", errors)
         if w is None:
             continue
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (TypeError, ValueError):
+        i, j = entry["i"], entry["j"]
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             errors.append(f"{where}: i and j must be integers")
             continue
         try:

@@ -2,9 +2,10 @@
 
 Two independent routes decide the general case: a spectral test counting
 imaginary-axis eigenvalues of the complex criterion matrix, and a subspace
-test intersecting eigenspaces of the position coupling with the null space
-of the dissipative Laplacian.  Specializations cover the harmonic (n = 1),
-pure-dissipative, weak-restorative, and commensurable regimes.
+test finding, by an orthogonal observability staircase, the undamped
+motions that the position coupling keeps clear of the dissipative
+Laplacian.  Specializations cover the harmonic (n = 1), pure-dissipative,
+weak-restorative, and commensurable regimes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedConfigurationError
-from .linalg import (CLUSTER_GAP_TOL, DEFAULT_RANK_TOL, SubspaceBasis,
-                     complex_eig, eigenvalue_clusters, orthonormal_columns,
-                     spectral_norm, subspace_intersection, sym_eig,
-                     nullspace_basis)
+from .linalg import (CLUSTER_GAP_TOL, DEFAULT_RANK_TOL, _lapack, complex_eig,
+                     eigenvalue_clusters, nullspace_basis, orthonormal_columns,
+                     spectral_norm, sym_eig)
 from .model import (ArraySystem, ModalBlocks, _resolve_eps, admittance_matrix,
                     array_stiffness)
 
@@ -34,8 +34,9 @@ class SyncVerdict:
 
     ``margin`` is the real part of the first eigenvalue beyond the n
     guaranteed imaginary-axis ones (or the relevant second-smallest
-    eigenvalue for the specialized tests); the subspace route carries no
-    margin.  ``tolerance`` is the on-axis threshold in effect.
+    eigenvalue for the specialized tests); for the subspace route it is
+    the smallest singular value its staircase dropped, or None if it
+    dropped none.  ``tolerance`` is the threshold in effect.
     """
 
     synchronizes: str            # "yes" | "no" | "indeterminate"
@@ -78,69 +79,89 @@ def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerd
 
 @dataclass(frozen=True)
 class SubspaceAnalysis:
-    """Eigenspace/null-space intersection data behind the subspace test."""
+    """The undamped motions of the array outside synchrony.
+
+    ``basis`` (qn x (count - n), orthonormal columns) spans the largest
+    subspace orthogonal to synchrony that the position coupling maps into
+    itself and the dissipative Laplacian annihilates.  ``margin`` is the
+    smallest singular value the staircase dropped (None if it dropped
+    none) and ``tolerance`` the threshold it compared them with.
+    """
 
     count: int
-    ambiguous: bool
-    cluster_tol: float
-    components: tuple  # ((rho, SubspaceBasis), ...) nonempty intersections
+    margin: float | None
+    tolerance: float
+    basis: np.ndarray
 
 
-def subspace_analysis(sys: ArraySystem, eps=None, tol=CLUSTER_GAP_TOL,
+def _synchrony_complement(q, n):
+    """Orthonormal basis of 1-perp (x) I_n, the motions orthogonal to
+    synchrony: one Householder reflector maps 1/sqrt(q) to -e_1, so its
+    other q - 1 columns span 1-perp exactly."""
+    v = np.full(q, 1.0 / math.sqrt(q))
+    v[0] += 1.0
+    reflector = np.eye(q) - np.outer(v, v) / v[0]
+    return np.kron(reflector[:, 1:], np.eye(n))
+
+
+def subspace_analysis(sys: ArraySystem, eps=None,
                       rank_tol=DEFAULT_RANK_TOL) -> SubspaceAnalysis:
-    """Cluster the position-coupling spectrum and intersect each eigenspace
-    with the null space of the dissipative Laplacian."""
-    e = _resolve_eps(sys, eps)
-    s = array_stiffness(sys, e)
-    vals, vecs = sym_eig(s)
-    scale = max(abs(vals[0]), abs(vals[-1]))
-    gap = float(tol * scale)
-    clusters = eigenvalue_clusters(vals, gap)
-    ambiguous = any(
-        vals[clusters[i + 1][0]] - vals[clusters[i][1] - 1] < 10.0 * gap
-        for i in range(len(clusters) - 1))
-    null_d = nullspace_basis(sys.lap_dissipative, rank_tol)
-    components = []
-    count = 0
-    dim = sys.q * sys.n
-    for a, b in clusters:
-        eigenspace = SubspaceBasis(dim, vecs[:, a:b], rank_tol)
-        shared = subspace_intersection(eigenspace, null_d, rank_tol)
-        if shared.dim:
-            components.append((float(np.mean(vals[a:b])), shared))
-            count += shared.dim
-    return SubspaceAnalysis(count, ambiguous, gap, tuple(components))
+    """Deflated observability staircase of the position coupling S and the
+    dissipative Laplacian L_d (Paige, IEEE TAC 26(1), 1981).
+
+    On the complement U of the synchronous subspace, with S' = U^T S U,
+    start from Z = null(U^T L_d U) and repeat: keep the right singular
+    vectors of R = (I - Z Z^T) S' Z whose singular value is at most
+    tau = rank_tol * ||S'||_2, until none is dropped.  What is left is the
+    largest S'-invariant subspace in the null space; the on-axis count is
+    n + dim Z.  The routine never forms the criterion matrix.
+    """
+    q, n = sys.q, sys.n
+    s = array_stiffness(sys, eps)
+    u = _synchrony_complement(q, n)
+    sp = u.T @ s @ u
+    tau = rank_tol * spectral_norm(sp)
+    if q == 1:
+        z = np.zeros((0, 0))       # nothing moves orthogonally to synchrony
+    else:
+        z = nullspace_basis(u.T @ sys.lap_dissipative @ u, rank_tol)
+    margin = None
+    while z.shape[1]:
+        sz = sp @ z
+        _, sigma, vt = _lapack("subspace_analysis", np.linalg.svd,
+                               sz - z @ (z.T @ sz), full_matrices=False)
+        keep = sigma <= tau
+        if keep.all():
+            break
+        dropped = float(sigma[~keep].min())
+        margin = dropped if margin is None else min(margin, dropped)
+        z = z @ vt[keep].T
+    return SubspaceAnalysis(n + z.shape[1], margin, tau, u @ z)
 
 
 def sync_check_subspace(sys: ArraySystem, eps=None,
                         rank_tol=DEFAULT_RANK_TOL) -> SyncVerdict:
     """Subspace synchronization test (independent of the spectral route).
 
-    Undamped steady-state motion lives in eigenspaces of the position
-    coupling that meet the null space of the dissipative Laplacian; the
-    array synchronizes exactly when those intersections have total
-    dimension n.
+    Counts the undamped motions found by :func:`subspace_analysis`: the
+    array synchronizes exactly when there are none besides the n
+    synchronous ones.  A count above n is ``no``.  A count of n is ``yes``
+    unless a dropped singular value lies within 10x of the staircase
+    tolerance, which is ``indeterminate``.
     """
-    analysis = subspace_analysis(sys, eps, rank_tol=rank_tol)
-    if analysis.ambiguous:
-        return SyncVerdict(
-            "indeterminate", analysis.count, None, "subspace",
-            analysis.cluster_tol,
-            "eigenvalue clusters of the position coupling are closer than "
-            "10x the clustering tolerance; eigenspaces cannot be separated reliably")
-    if analysis.count == sys.n:
-        verdict = "yes"
-    elif analysis.count > sys.n:
+    analysis = subspace_analysis(sys, eps, rank_tol)
+    tau, margin = analysis.tolerance, analysis.margin
+    diagnostic = None
+    if analysis.count > sys.n:
         verdict = "no"
+    elif margin is None or margin > 10.0 * tau:
+        verdict = "yes"
     else:
-        # Mathematically impossible (the n synchronous modes always count);
-        # report honestly if numerics ever get here.
-        return SyncVerdict(
-            "indeterminate", analysis.count, None, "subspace",
-            analysis.cluster_tol,
-            f"found only {analysis.count} < n = {sys.n} shared directions")
-    return SyncVerdict(verdict, analysis.count, None, "subspace",
-                       analysis.cluster_tol, None)
+        verdict = "indeterminate"
+        diagnostic = (f"staircase margin {margin:.6e} is within 10x of the "
+                      f"rank tolerance {tau:.6e}")
+    return SyncVerdict(verdict, analysis.count, margin, "subspace", tau,
+                       diagnostic)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,14 @@ spectral norm of the operand unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-# Relative rank threshold used for null spaces and subspace intersections.
+# Relative rank threshold used for null spaces and the subspace staircase.
 DEFAULT_RANK_TOL = 1e-9
-# Two eigenvalues with gap <= CLUSTER_GAP_TOL * scale share an eigenspace.
+# Two eigenvalues with gap <= CLUSTER_GAP_TOL * scale share an eigenspace
+# (the weak-coupling bound's block-gap constant).
 CLUSTER_GAP_TOL = 1e-8
 
 
@@ -38,9 +37,9 @@ def _as_square(a, name, dtype=float):
     return m
 
 
-def _lapack(name, routine, *args):
+def _lapack(name, routine, *args, **kwargs):
     try:
-        return routine(*args)
+        return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"{name}: LAPACK failed: {exc}") from exc
 
@@ -83,36 +82,12 @@ def complex_eig(a):
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis (columns of ``vectors``) of a subspace of R^ambient."""
-
-    ambient: int
-    vectors: np.ndarray
-    tol: float
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.ambient:
-            raise InvalidInputError(
-                f"SubspaceBasis: vectors must be {self.ambient} x dim, "
-                f"got shape {v.shape}")
-        if v.shape[1]:
-            gram = v.T @ v
-            if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-12:
-                raise InvalidInputError("SubspaceBasis: columns are not orthonormal")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
 def nullspace_basis(a, tol=DEFAULT_RANK_TOL):
     """Orthonormal basis of the near-null space of a symmetric PSD matrix.
 
-    A direction counts as null when its eigenvalue is at most
-    ``tol * ||a||_2``.  The zero matrix yields the full space.
+    Returns the basis vectors as the columns of an array.  A direction
+    counts as null when its eigenvalue is at most ``tol * ||a||_2``.  The
+    zero matrix yields the full space.
     """
     vals, vecs = sym_eig(a)
     scale = max(abs(vals[0]), abs(vals[-1]))
@@ -120,29 +95,7 @@ def nullspace_basis(a, tol=DEFAULT_RANK_TOL):
         raise InvalidInputError(
             f"nullspace_basis: matrix is not positive semidefinite "
             f"(smallest eigenvalue {vals[0]:.3e})")
-    keep = vals <= tol * scale
-    return SubspaceBasis(a.shape[0] if hasattr(a, "shape") else len(a),
-                         vecs[:, keep], tol)
-
-
-def subspace_intersection(u, v, tol=DEFAULT_RANK_TOL):
-    """Orthonormal basis of the intersection of two subspaces.
-
-    Uses principal angles: a direction is shared when the cosine of its
-    principal angle is at least ``1 - tol``.
-    """
-    if u.ambient != v.ambient:
-        raise InvalidInputError(
-            f"subspace_intersection: ambient dimensions differ "
-            f"({u.ambient} vs {v.ambient})")
-    if u.dim == 0 or v.dim == 0:
-        return SubspaceBasis(u.ambient, np.zeros((u.ambient, 0)), tol)
-    w = u.vectors.T @ v.vectors
-    gram = w.T @ w
-    vals, y = sym_eig(0.5 * (gram + gram.T))
-    cosines = np.sqrt(np.clip(vals, 0.0, None))
-    keep = cosines >= 1.0 - tol
-    return SubspaceBasis(u.ambient, v.vectors @ y[:, keep], tol)
+    return vecs[:, vals <= tol * scale]
 
 
 def spectral_norm(a):

@@ -10,6 +10,7 @@ criterion matrix used by the synchronization tests.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,8 +158,12 @@ class CouplingEdge:
     weight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
+        try:
+            object.__setattr__(self, "i", operator.index(self.i))
+            object.__setattr__(self, "j", operator.index(self.j))
+        except TypeError:
+            raise InvalidModelError(
+                f"edge ({self.i!r},{self.j!r}): indices must be integers") from None
         object.__setattr__(self, "weight", _readonly(self.weight))
         _check_weight(self.i, self.j, self.weight)
 
@@ -177,6 +182,8 @@ class CommensurableCoupling:
             c = _readonly(getattr(self, name))
             if c.ndim != 2 or c.size == 0:
                 raise InvalidModelError(f"{name}: expected a nonempty 2-d matrix")
+            if not np.all(np.isfinite(c)):
+                raise InvalidModelError(f"{name}: entries must be finite")
             object.__setattr__(self, name, c)
         q = None
         for name in ("d_scalars", "r_scalars"):
@@ -207,6 +214,15 @@ def _check_scalar_weights(s, name):
             f"{name}: weight for edge ({bad[0] + 1},{bad[1] + 1}) is negative")
 
 
+def _expanded_weights(c, s):
+    """Yield ``(i, j, s_ij * C^T C)`` (1-based, i < j) for each nonzero
+    scalar weight of checked ``C`` and ``s``, in row-major order."""
+    base = c.T @ c
+    base = 0.5 * (base + base.T)
+    for i, j in zip(*np.nonzero(np.triu(s, 1))):
+        yield i + 1, j + 1, s[i, j] * base
+
+
 def commensurable_expand(c, scalars):
     """Expand rank-structured coupling into per-edge matrix weights.
 
@@ -221,12 +237,7 @@ def commensurable_expand(c, scalars):
         raise InvalidModelError("commensurable_expand: C entries must be finite")
     s = np.asarray(scalars, dtype=float)
     _check_scalar_weights(s, "scalar weights")
-    base = c.T @ c
-    base = 0.5 * (base + base.T)
-    q = s.shape[0]
-    edges = tuple(
-        CouplingEdge(i + 1, j + 1, s[i, j] * base)
-        for i in range(q) for j in range(i + 1, q) if s[i, j] != 0.0)
+    edges = tuple(CouplingEdge(*t) for t in _expanded_weights(c, s))
     scalar_lap = np.diag(s.sum(axis=1)) - s
     return edges, scalar_lap
 
@@ -279,11 +290,11 @@ class CouplingGraph:
                 f"commensurable data is for q={cc.q}, graph has q={self.q}")
         for name, c, s in (("dissipative", cc.c_dissipative, cc.d_scalars),
                            ("restorative", cc.c_restorative, cc.r_scalars)):
-            expected, _ = commensurable_expand(c, s)
+            expected = list(_expanded_weights(c, s))
             actual = getattr(self, name)
             if len(expected) != len(actual) or any(
-                    a.i != b.i or a.j != b.j or not np.array_equal(a.weight, b.weight)
-                    for a, b in zip(expected, actual)):
+                    (e.i, e.j) != (i, j) or not np.array_equal(e.weight, w)
+                    for (i, j, w), e in zip(expected, actual)):
                 raise InvalidModelError(
                     f"{name} edges do not equal the commensurable expansion")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import subspace_analysis
 from .errors import InvalidInputError
-from .linalg import orthonormal_columns, spectral_norm, sym_eig
+from .linalg import spectral_norm, sym_eig
 from .model import ArraySystem, array_stiffness
 
 # RK4 keeps purely oscillatory modes stable up to |omega * dt| = 2*sqrt(2);
@@ -187,24 +187,23 @@ def random_initial_state(sys: ArraySystem, seed=0, scale=1.0):
 def counterexample_ic(sys: ArraySystem, eps=None) -> CounterexampleMode | None:
     """Initial condition certifying a failed synchronization verdict.
 
-    Returns None when the array synchronizes.  Otherwise picks, from the
-    highest-frequency eigenspace of the position coupling that meets the
-    null space of the dissipative Laplacian outside the synchronous
-    subspace, the first basis direction after removing the synchronous
-    component, signed so that its largest-magnitude entry is positive.
+    Returns None when the subspace route counts no undamped motion besides
+    the n synchronous ones.  Otherwise returns the fastest undamped mode:
+    the top eigenvector of the position coupling restricted to the basis
+    that :func:`~oscnet.criteria.subspace_analysis` finds orthogonal to
+    synchrony, signed so that the first of its largest-magnitude entries
+    is positive.
     """
     analysis = subspace_analysis(sys, eps)
-    if analysis.count <= sys.n:
+    if analysis.count == sys.n:
         return None
-    q, n = sys.q, sys.n
-    for rho, shared in sorted(analysis.components, key=lambda t: -t[0]):
-        vectors = shared.vectors
-        block = vectors.reshape(q, n, -1)
-        deflated = (block - block.mean(axis=0)).reshape(q * n, -1)
-        basis = orthonormal_columns(deflated, drop_tol=1e-6)
-        if basis.shape[1]:
-            # the solver leaves the sign free; fix it so traces do not depend on it
-            shape = basis[:, 0] * np.sign(basis[np.argmax(np.abs(basis[:, 0])), 0])
-            omega = math.sqrt(rho)
-            return CounterexampleMode(omega, shape, 2.0 * math.pi / omega)
-    return None
+    basis = analysis.basis
+    vals, vecs = sym_eig(basis.T @ array_stiffness(sys, eps) @ basis)
+    shape = basis @ vecs[:, -1]
+    # The solver leaves the sign free; fix it so traces do not depend on it.
+    # Symmetric arrays tie entries in magnitude up to rounding, so the first
+    # of the largest entries is made positive, not the rounding's winner.
+    size = np.abs(shape)
+    shape *= np.sign(shape[np.argmax(size >= (1.0 - 1e-9) * size.max())])
+    omega = math.sqrt(vals[-1])
+    return CounterexampleMode(omega, shape, 2.0 * math.pi / omega)

@@ -48,6 +48,14 @@ class TestParseConfig:
         assert "(1,2)" in text and "symmetric" in text
         assert len(info.value.problems) >= 2
 
+    def test_fractional_edge_index_exits_1(self, tmp_path, capsys):
+        doc = {"n": 1, "q": 2, "M": [[1.0]], "K": [[4.0]],
+               "dissipative": [{"i": 1.9, "j": 2, "W": [[1.0]]}]}
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert "dissipative[0]: i and j must be integers" in capsys.readouterr().err
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"q": 2,\n  "n": oops}')

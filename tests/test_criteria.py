@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,49 @@ def scalar_system(q, damper_pairs, spring_pairs=(), freq_sq=2.0, epsilon=1.0):
     d = tuple(CouplingEdge(i, j, np.array([[1.0]])) for i, j in damper_pairs)
     r = tuple(CouplingEdge(i, j, np.array([[1.0]])) for i, j in spring_pairs)
     return normalize(model, CouplingGraph(q, d, r, epsilon))
+
+
+# 3 x 2 arrays whose damper leaves node 1 (s = 6) or node 2 (s = 11) free,
+# joined to the rest by springs.  Inside the weak-coupling radius they must
+# synchronize, while the real part the spectral route sees is O(eps^2).
+SPLIT_DAMPER_ARRAYS = {
+    6: {"M": [[0.7428176726617624, 0.02040699868061229],
+              [0.02040699868061229, 0.7863169717544399]],
+        "K": [[1.9001503639898414, 0.13045052171716323],
+              [0.13045052171716323, 1.4715200631405552]],
+        "dissipative": [(2, 3, [[2.0976184139642986, -2.7519321311034286],
+                                [-2.7519321311034286, 3.610347050628224]])],
+        "restorative": [(1, 3, [[1.3953346174173131, 0.19731385005148444],
+                                [0.19731385005148444, 0.02790209239859759]]),
+                        (2, 3, [[0.6633006119604401, -0.09955744497794826],
+                                [-0.09955744497794826, 0.2672827896582114]])]},
+    11: {"M": [[1.382040657098118, 0.035416077777327144],
+               [0.035416077777327144, 1.1760535679478505]],
+         "K": [[2.8992366566880468, 0.4317838368936191],
+               [0.4317838368936191, 1.839620474687313]],
+         "dissipative": [(1, 3, [[0.15065157054846207, -0.2536479730877121],
+                                 [-0.2536479730877121, 0.42706022922481574]])],
+         "restorative": [(1, 2, [[1.2046852793697405, 0.6177348219183172],
+                                 [0.6177348219183172, 0.3167601669459231]]),
+                         (2, 3, [[0.8964212436232315, -0.6989228922025282],
+                                 [-0.6989228922025282, 0.9030500199736113]])]},
+}
+
+
+def split_damper_system(s):
+    doc = SPLIT_DAMPER_ARRAYS[s]
+    model = OscillatorModel(np.array(doc["M"]), np.array(doc["K"]))
+    graph = CouplingGraph(3, tuple((i, j, np.array(w)) for i, j, w in doc["dissipative"]),
+                          tuple((i, j, np.array(w)) for i, j, w in doc["restorative"]))
+    return normalize(model, graph)
+
+
+def resonant_system():
+    """Demo 02's rank-1 damper pair: it stops synchronizing at eps = 1 only."""
+    model = OscillatorModel(np.eye(2), np.diag([1.0, 4.0]))
+    graph = CouplingGraph(2, dissipative=((1, 2, np.ones((2, 2))),),
+                          restorative=((1, 2, np.diag([2.0, 0.5])),))
+    return normalize(model, graph)
 
 
 class TestSpectral:
@@ -84,14 +129,101 @@ class TestSubspace:
         system = scalar_system(2, [(1, 2)])
         assert sync_check_subspace(system).margin is None
 
+    def test_single_oscillator_trivially_synchronous(self):
+        # q = 1 leaves no motion orthogonal to synchrony
+        model = OscillatorModel(np.eye(2), np.diag([1.0, 4.0]))
+        verdict = sync_check_subspace(normalize(model, CouplingGraph(1)))
+        assert verdict.synchronizes == "yes"
+        assert verdict.imaginary_axis_count == 2
+
     def test_ambiguous_clustering_is_reported(self):
         # a restorative perturbation of 1.5e-8 splits one eigenvalue pair by
-        # 3e-8: beyond the clustering gap but within 10x of it
+        # 3e-8, close to any clustering gap; the damper still joins the two
+        # units, so the answer is yes
         system = scalar_system(2, [(1, 2)], [(1, 2)], freq_sq=1.0,
                                epsilon=1.5e-8)
         verdict = sync_check_subspace(system)
-        assert verdict.synchronizes == "indeterminate"
-        assert verdict.diagnostic is not None
+        assert verdict.synchronizes == "yes"
+        assert verdict.imaginary_axis_count == 1
+
+    @pytest.mark.parametrize("s", sorted(SPLIT_DAMPER_ARRAYS))
+    def test_inside_weak_coupling_radius(self, s):
+        system = split_damper_system(s)
+        bound = weak_coupling_bound(system)
+        assert bound.applicable
+        verdict = sync_check_subspace(system, eps=bound.radius / 2)
+        assert verdict.synchronizes == "yes"
+        assert verdict.imaginary_axis_count == 2
+
+    @pytest.mark.parametrize("eps, verdict, count", [
+        (1.0, "no", 3), (1.0 + 1e-6, "yes", 2), (1.0 + 1e-8, None, 2)])
+    def test_near_the_resonance(self, eps, verdict, count):
+        # at 1 + 1e-8 the decision is within the 10x band, but the count holds
+        got = sync_check_subspace(resonant_system(), eps=eps)
+        assert got.imaginary_axis_count == count
+        if verdict is None:
+            assert got.synchronizes != "no"
+        else:
+            assert got.synchronizes == verdict
+
+
+def family_pairs(kind, q):
+    if kind == "path":
+        return [(i, i + 1) for i in range(1, q)]
+    if kind == "ring":
+        return sorted({(min(i, i % q + 1), max(i, i % q + 1)) for i in range(1, q + 1)})
+    if kind == "star":
+        return [(1, j) for j in range(2, q + 1)]
+    return [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)]
+
+
+def damper_families():
+    """Paths, rings, stars and complete damper graphs, q = 2..6, n = 1..3,
+    identity and rank-1 weights, each with and without a spring path: 240
+    arrays whose symmetry gives the position coupling repeated eigenvalues."""
+    for kind, q, n, rank1, springs in itertools.product(
+            ("path", "ring", "star", "complete"), range(2, 7), range(1, 4),
+            (False, True), (False, True)):
+        model = OscillatorModel(np.eye(n), np.diag([1.0, 4.0, 9.0][:n]))
+        w = np.ones((n, n)) if rank1 else np.eye(n)
+        spring = np.diag([2.0, 0.5, 1.0][:n])
+        dampers = tuple((i, j, w) for i, j in family_pairs(kind, q))
+        spring_path = tuple((i, i + 1, spring) for i in range(1, q)) if springs else ()
+        yield f"{kind} q={q} n={n} rank1={rank1} springs={springs}", model, \
+            CouplingGraph(q, dampers, spring_path)
+
+
+class TestStructuredFamilies:
+    def test_routes_count_alike(self):
+        verdicts = set()
+        for name, model, graph in damper_families():
+            system = normalize(model, graph)
+            spectral = sync_check_spectral(system)
+            subspace = sync_check_subspace(system)
+            verdicts.add(subspace.synchronizes)
+            if spectral.synchronizes != "indeterminate":
+                assert subspace.imaginary_axis_count == spectral.imaginary_axis_count, name
+        assert verdicts >= {"yes", "no"}
+
+    def test_count_ignores_labels_and_edge_order(self):
+        rng = np.random.default_rng(41)
+        for name, model, graph in damper_families():
+            verdict = sync_check_subspace(normalize(model, graph))
+            perm = rng.permutation(graph.q) + 1
+
+            def relabel(edges):
+                return tuple((min(perm[e.i - 1], perm[e.j - 1]),
+                              max(perm[e.i - 1], perm[e.j - 1]), e.weight)
+                             for e in edges)
+            variants = (
+                CouplingGraph(graph.q, relabel(graph.dissipative),
+                              relabel(graph.restorative)),
+                CouplingGraph(graph.q, graph.dissipative[::-1],
+                              graph.restorative[::-1]))
+            for other in variants:
+                got = sync_check_subspace(normalize(model, other))
+                assert got.imaginary_axis_count == verdict.imaginary_axis_count, name
+                assert got.synchronizes == verdict.synchronizes, name
 
 
 class TestMethodAgreement:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from oscnet import (InvalidInputError, SubspaceBasis, complex_eig,
-                    nullspace_basis, spectral_norm, subspace_intersection,
-                    sym_eig)
+from oscnet import (InvalidInputError, complex_eig, nullspace_basis,
+                    spectral_norm, sym_eig)
 from oscnet.linalg import eigenvalue_clusters, orthonormal_columns
 
 from conftest import assert_multiset_close, charpoly_roots, random_orthogonal
@@ -110,13 +109,13 @@ class TestComplexEig:
 class TestNullspace:
     def test_edge_laplacian_kernel(self):
         basis = nullspace_basis(edge_laplacian(1.0))
-        assert basis.dim == 1
-        v = basis.vectors[:, 0]
+        assert basis.shape == (2, 1)
+        v = basis[:, 0]
         assert abs(abs(v @ np.full(2, np.sqrt(0.5))) - 1.0) < 1e-12
 
     def test_zero_matrix_full_space(self):
         basis = nullspace_basis(np.zeros((5, 5)))
-        assert basis.dim == 5
+        assert basis.shape == (5, 5)
 
     def test_dimension_matches_zero_eigen_count(self, rng):
         # 3-node path with matrix weights; nullity = count of tiny eigenvalues
@@ -129,64 +128,19 @@ class TestNullspace:
         basis = nullspace_basis(lap)
         vals, _ = sym_eig(lap)
         expected = int(np.count_nonzero(vals <= 1e-9 * vals[-1]))
-        assert basis.dim == expected
-        assert np.linalg.norm(lap @ basis.vectors) <= 1e-8 * max(vals[-1], 1.0)
+        assert basis.shape == (6, expected)
+        assert np.linalg.norm(lap @ basis) <= 1e-8 * max(vals[-1], 1.0)
 
     def test_nullity_plus_rank_is_ambient(self, rng):
         q = random_orthogonal(rng, 6)
         vals = np.array([0.0, 0.0, 0.0, 1.3, 2.2, 5.0])
         a = q @ np.diag(vals) @ q.T
         basis = nullspace_basis(0.5 * (a + a.T))
-        assert basis.dim == 3
+        assert basis.shape == (6, 3)
 
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidInputError):
             nullspace_basis(np.diag([1.0, -1.0]))
-
-
-class TestSubspaceIntersection:
-    def test_coordinate_planes(self):
-        e = np.eye(4)
-        u = SubspaceBasis(4, e[:, :2], 1e-9)
-        v = SubspaceBasis(4, e[:, 1:3], 1e-9)
-        shared = subspace_intersection(u, v)
-        assert shared.dim == 1
-        assert abs(abs(shared.vectors[:, 0] @ e[:, 1]) - 1.0) < 1e-12
-
-    def test_disjoint(self):
-        e = np.eye(3)
-        u = SubspaceBasis(3, e[:, :1], 1e-9)
-        v = SubspaceBasis(3, e[:, 1:2], 1e-9)
-        assert subspace_intersection(u, v).dim == 0
-
-    def test_constructed_overlap_recovered(self, rng):
-        for _ in range(5):
-            q = random_orthogonal(rng, 8)
-            u = SubspaceBasis(8, q[:, :4], 1e-9)
-            v = SubspaceBasis(8, q[:, 2:6], 1e-9)
-            shared = subspace_intersection(u, v)
-            assert shared.dim == 2
-            # recovered span sits inside both
-            proj_u = q[:, :4] @ (q[:, :4].T @ shared.vectors)
-            assert np.linalg.norm(proj_u - shared.vectors) < 1e-8
-
-    def test_symmetric_in_arguments(self, rng):
-        q = random_orthogonal(rng, 7)
-        u = SubspaceBasis(7, q[:, :3], 1e-9)
-        v = SubspaceBasis(7, q[:, 1:5], 1e-9)
-        ab = subspace_intersection(u, v)
-        ba = subspace_intersection(v, u)
-        assert ab.dim == ba.dim
-        # identical spans: cross-projection preserves norms
-        overlap = ab.vectors.T @ ba.vectors
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        assert np.allclose(sv, 1.0, atol=1e-9)
-
-    def test_ambient_mismatch(self):
-        u = SubspaceBasis(3, np.eye(3)[:, :1], 1e-9)
-        v = SubspaceBasis(4, np.eye(4)[:, :1], 1e-9)
-        with pytest.raises(InvalidInputError):
-            subspace_intersection(u, v)
 
 
 class TestSpectralNorm:
@@ -233,8 +187,3 @@ class TestHelpers:
         out = orthonormal_columns(cols)
         assert out.shape == (5, 2)
         assert np.allclose(out.T @ out, np.eye(2), atol=1e-12)
-
-    def test_subspace_basis_rejects_skewed(self):
-        bad = np.array([[1.0, 0.9], [0.0, 0.1]])
-        with pytest.raises(InvalidInputError):
-            SubspaceBasis(2, bad, 1e-9)

@@ -262,6 +262,10 @@ class TestCouplingGraphValidation:
         with pytest.raises(InvalidModelError):
             CouplingGraph(2, ((2, 1, np.eye(1)),))
 
+    def test_rejects_fractional_indices(self):
+        with pytest.raises(InvalidModelError, match="integers"):
+            CouplingGraph(3, ((1.7, 2.9, np.eye(1)),))
+
     def test_rejects_duplicate(self):
         with pytest.raises(InvalidModelError, match="twice"):
             CouplingGraph(2, ((1, 2, np.eye(1)), (1, 2, np.eye(1))))

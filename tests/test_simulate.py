@@ -252,7 +252,7 @@ class TestCounterexample:
         # the solver may hand over either sign of each eigenvector; the
         # returned shape has its largest-magnitude entry positive either way
         import dataclasses
-        from oscnet import SubspaceBasis, simulate
+        from oscnet import simulate
         model = OscillatorModel(np.eye(1), np.array([[1.0]]))
         graph = CouplingGraph(3, dissipative=((1, 2, np.array([[1.0]])),))
         system = normalize(model, graph)
@@ -265,12 +265,24 @@ class TestCounterexample:
 
         def negated(*args, **kwargs):
             analysis = solved(*args, **kwargs)
-            flipped = tuple((rho, SubspaceBasis(b.ambient, -b.vectors, b.tol))
-                            for rho, b in analysis.components)
-            return dataclasses.replace(analysis, components=flipped)
+            return dataclasses.replace(analysis, basis=-analysis.basis)
 
         monkeypatch.setattr(simulate, "subspace_analysis", negated)
         assert np.array_equal(counterexample_ic(system).shape, mode.shape)
+
+    def test_tied_entries_take_the_first_sign(self):
+        # two damped pairs: the fastest undamped mode is (1, 1, -1, -1)/2
+        # (x) the top unit mode, so four entries tie in magnitude and
+        # rounding must not pick which of them is made positive
+        for seed in range(10):
+            model = random_model(np.random.default_rng(seed), 2)
+            graph = CouplingGraph(4, ((1, 2, np.eye(2)), (3, 4, np.eye(2))))
+            system = normalize(model, graph)
+            phi = np.linalg.eigh(system.normalized_stiffness)[1][:, -1]
+            expected = np.kron([0.5, 0.5, -0.5, -0.5], phi)
+            expected *= np.sign(phi[np.argmax(np.abs(phi))])
+            shape = counterexample_ic(system).shape
+            assert np.abs(shape - expected).max() <= 1e-12, f"seed {seed}"
 
     def test_periodic_trajectory(self):
         # the certified mode returns to its initial error every period
