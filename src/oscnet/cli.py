@@ -19,13 +19,14 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .criteria import (VERDICT_TOL, commensurable_check, harmonic_check,
-                       pure_dissipative_check, sync_check_spectral,
-                       sync_check_subspace, weak_coupling_bound)
+from .criteria import (CLUSTER_GAP_TOL, VERDICT_TOL, commensurable_check,
+                       harmonic_check, pure_dissipative_check,
+                       sync_check_spectral, sync_check_subspace,
+                       weak_coupling_bound)
 from .errors import (ConfigError, InvalidInputError, InvalidModelError,
                      NumericalFailureError, OscnetError,
                      UnsupportedConfigurationError)
-from .linalg import CLUSTER_GAP_TOL, DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL
 from .model import (CouplingEdge, CouplingGraph, OscillatorModel,
                     _check_placement, build_mass_spring_chain,
                     commensurable_graph, normalize)

@@ -16,16 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedConfigurationError
-from .linalg import (CLUSTER_GAP_TOL, DEFAULT_RANK_TOL, _lapack, complex_eig,
-                     eigenvalue_clusters, nullspace_basis, orthonormal_columns,
+from .linalg import (DEFAULT_RANK_TOL, _lapack, complex_eig, nullspace_basis,
                      spectral_norm, sym_eig)
-from .model import (ArraySystem, ModalBlocks, _resolve_eps, admittance_matrix,
-                    array_stiffness)
+from .model import (ArraySystem, ModalBlocks, _readonly, _resolve_eps,
+                    admittance_matrix, array_stiffness)
 
 # An eigenvalue counts as on the imaginary axis when its real part is at
 # most VERDICT_TOL * max(scale, 1); margins within 10x of that threshold
 # are reported indeterminate instead of being forced to a verdict.
 VERDICT_TOL = 1e-8
+# Two eigenvalues of a restorative block with gap <= CLUSTER_GAP_TOL * scale
+# share an eigenspace (the weak-coupling bound's block-gap constant).
+CLUSTER_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,16 +49,20 @@ class SyncVerdict:
     diagnostic: str | None = None
 
 
-def _classify(n_expected, count, margin, tau, method, diagnostic=None):
+def _classify(n_expected, count, margin, tau, method, why_no=None):
+    """``no`` when the margin is on the axis or more than ``n_expected``
+    eigenvalues are; ``why_no`` explains a ``no`` that the margin does not."""
+    diagnostic = None
     if margin > 10.0 * tau and count == n_expected:
         verdict = "yes"
     elif margin <= tau:
         verdict = "no"
+    elif count > n_expected:
+        verdict, diagnostic = "no", why_no
     else:
         verdict = "indeterminate"
-        if diagnostic is None:
-            diagnostic = (f"margin {margin:.6e} is within 10x of the "
-                          f"on-axis tolerance {tau:.6e}")
+        diagnostic = (f"margin {margin:.6e} is within 10x of the "
+                      f"on-axis tolerance {tau:.6e}")
     return SyncVerdict(verdict, count, float(margin), method, tau, diagnostic)
 
 
@@ -250,10 +256,10 @@ class WeakCouplingBound:
     """
 
     sigma_bar: float               # half the smallest gap between squared frequencies
-    mu_bar: float                  # half the smallest gap between distinct
-    #                                eigenvalues of the restorative blocks
-    gamma_bar: float               # worst-case dissipation seen by candidate
-    #                                steady-state directions
+    mu_bar: float                  # half the smallest gap between eigenvalue
+    #                                clusters of a restorative block B_kk
+    gamma_bar: float               # sqrt of the least eigenvalue of G_kk on
+    #                                any cluster eigenspace of B_kk inside 1-perp
     norm_g: float
     norm_b: float
     c: float
@@ -277,8 +283,12 @@ class WeakCouplingBound:
 
 
 def weak_coupling_bound(sys: ArraySystem) -> WeakCouplingBound:
-    """Compute the guaranteed weak-coupling radius and its ingredients."""
-    n, q = sys.n, sys.q
+    """Compute the guaranteed weak-coupling radius and its ingredients.
+
+    The result is stored on ``sys`` on first use, the way
+    :attr:`ArraySystem.modal` is, so every caller shares one computation.
+    """
+    n = sys.n
     if n < 2:
         raise UnsupportedConfigurationError(
             "the weak-coupling radius is degenerate for n = 1; "
@@ -287,33 +297,47 @@ def weak_coupling_bound(sys: ArraySystem) -> WeakCouplingBound:
         raise UnsupportedConfigurationError(
             "the weak-coupling bound requires at least one nonzero restorative "
             "weight; use pure_dissipative_check instead")
+    cache = vars(sys)
+    if "_weak_coupling_bound" not in cache:
+        cache["_weak_coupling_bound"] = _weak_coupling_bound(sys)
+    return cache["_weak_coupling_bound"]
+
+
+def _weak_coupling_bound(sys):
+    """Each block satisfies B_kk 1 = G_kk 1 = 0, so it is worked on the
+    motions orthogonal to synchrony, u^T B_kk u, and its spectrum is that
+    of the deflated block with a 0 put in front.  One eigensolve per mode
+    gives the clusters and a basis v of each; a cluster's restricted
+    dissipation is the smallest eigenvalue of its diagonal block of
+    v^T G_kk v, where the vector 1 does not appear."""
+    n, q = sys.n, sys.q
     mf = sys.modal
-    freqs = sys.freqs_sq
-    sigma_bar = 0.5 * float(np.min(np.diff(freqs)))
-    ones = np.full(q, 1.0 / math.sqrt(q))
+    sigma_bar = 0.5 * float(np.min(np.diff(sys.freqs_sq)))
+    u = _synchrony_complement(q, 1)
     mu_gaps = []
     gamma_sq = []
-    margins = mf.combined_real[:, 1].copy()
-    lambda2_g = mf.dissipative_spectra[:, 1].copy()
     for k in range(n):
-        gkk = mf.dissipative_blocks[k, k]
-        bvals, bvecs = sym_eig(mf.restorative_blocks[k, k])
-        bscale = max(abs(bvals[0]), abs(bvals[-1]))
-        clusters = eigenvalue_clusters(bvals, CLUSTER_GAP_TOL * bscale)
-        if len(clusters) > 1:
-            centers = [float(np.mean(bvals[a:b])) for a, b in clusters]
+        vals, vecs = sym_eig(u.T @ mf.restorative_blocks[k, k] @ u)
+        spectrum = np.concatenate(([0.0], vals))
+        gap = CLUSTER_GAP_TOL * max(abs(vals[0]), abs(vals[-1]))
+        cuts = np.flatnonzero(np.diff(spectrum) > gap) + 1
+        if cuts.size:
+            centers = [float(np.mean(part)) for part in np.split(spectrum, cuts)]
             mu_gaps.append(min(np.diff(centers)))
-        for a, b in clusters:
-            basis = bvecs[:, a:b]
-            deflated = basis - np.outer(ones, ones @ basis)
-            w = orthonormal_columns(deflated, drop_tol=1e-8)
-            if w.shape[1]:
-                restricted = w.T @ gkk @ w
-                rvals, _ = sym_eig(0.5 * (restricted + restricted.T))
+        v = u @ vecs
+        h = v.T @ mf.dissipative_blocks[k, k] @ v
+        for idx in np.split(np.arange(q - 1), cuts - 1):
+            if idx.size == 1:
+                gamma_sq.append(float(h[idx[0], idx[0]]))
+            elif idx.size:
+                rvals = _lapack("weak_coupling_bound", np.linalg.eigvalsh,
+                                h[np.ix_(idx, idx)])
                 gamma_sq.append(float(rvals[0]))
     norm_g = spectral_norm(mf.dissipative)
     norm_b = spectral_norm(mf.restorative)
-    gamma_bar = math.sqrt(max(min(gamma_sq), 0.0)) if gamma_sq else 0.0
+    gamma_bar = math.sqrt(max(min(gamma_sq), 0.0))
+    margins = _readonly(mf.combined_real[:, 1])
+    lambda2_g = _readonly(mf.dissipative_spectra[:, 1])
     if not mu_gaps:
         return WeakCouplingBound(
             sigma_bar, math.nan, gamma_bar, norm_g, norm_b, math.nan, math.nan,
@@ -403,19 +427,9 @@ def commensurable_check(sys: ArraySystem, tol=VERDICT_TOL,
         # Unobserved modes see no dissipation at all, so every one of their
         # q directions stays on the axis.
         count = sum(zeros_d if seen else q for seen in seen_d)
-        if margin > 10.0 * tau and obs_d:
-            verdict_str = "yes"
-            diagnostic = None
-        elif margin <= tau or not obs_d:
-            verdict_str = "no"
-            diagnostic = None if margin <= tau else (
-                "the dissipative output matrix misses at least one mode")
-        else:
-            verdict_str = "indeterminate"
-            diagnostic = (f"scalar margin {margin:.6e} is within 10x of the "
-                          f"on-axis tolerance {tau:.6e}")
-        verdict = SyncVerdict(verdict_str, count, margin, "commensurable",
-                              tau, diagnostic)
+        verdict = _classify(
+            n, count, margin, tau, "commensurable",
+            "the dissipative output matrix misses at least one mode")
         return CommensurableReport(verdict, None, None, alpha, beta,
                                    obs_d, obs_r, margin)
     crit = ell_d + 1j * ell_r

@@ -1,4 +1,4 @@
-"""Dense eigenvalue wrappers and subspace utilities.
+"""Dense eigenvalue, null-space and norm wrappers.
 
 The eigenvalue work goes to LAPACK through ``numpy.linalg``: ``syevd`` for
 real symmetric eigenproblems and ``geev`` for general complex spectra.  The
@@ -15,9 +15,6 @@ from .errors import InvalidInputError, NumericalFailureError
 
 # Relative rank threshold used for null spaces and the subspace staircase.
 DEFAULT_RANK_TOL = 1e-9
-# Two eigenvalues with gap <= CLUSTER_GAP_TOL * scale share an eigenspace
-# (the weak-coupling bound's block-gap constant).
-CLUSTER_GAP_TOL = 1e-8
 
 
 def _as_matrix(a, name, dtype=float):
@@ -105,40 +102,3 @@ def spectral_norm(a):
     if m.size == 0:
         return 0.0
     return float(_lapack("spectral_norm", np.linalg.norm, m, 2))
-
-
-def eigenvalue_clusters(values, gap):
-    """Index ranges ``[start, stop)`` grouping ascending values into clusters.
-
-    Consecutive values whose difference exceeds ``gap`` start a new cluster.
-    """
-    clusters = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, len(values)))
-    return clusters
-
-
-def orthonormal_columns(a, drop_tol=1e-8):
-    """Orthonormal basis for the column span, dropping dependent columns.
-
-    Modified Gram-Schmidt with re-orthogonalization; a column is dropped
-    when its residual norm is at most ``drop_tol`` (callers pass columns of
-    roughly unit length).
-    """
-    m = np.asarray(a, dtype=float)
-    kept = []
-    for j in range(m.shape[1]):
-        x = m[:, j].copy()
-        for _ in range(2):
-            for col in kept:
-                x -= (col @ x) * col
-        nx = np.linalg.norm(x)
-        if nx > drop_tol:
-            kept.append(x / nx)
-    if not kept:
-        return np.zeros((m.shape[0], 0))
-    return np.column_stack(kept)

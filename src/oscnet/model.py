@@ -227,8 +227,7 @@ def commensurable_expand(c, scalars):
     """Expand rank-structured coupling into per-edge matrix weights.
 
     Each edge (i, j) with scalar weight s_ij > 0 receives the matrix weight
-    ``s_ij * C^T C``.  Also returns the q x q Laplacian of the scalar
-    weights, which carries the graph structure on its own.
+    ``s_ij * C^T C``; returns the tuple of those edges.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.size == 0:
@@ -237,9 +236,7 @@ def commensurable_expand(c, scalars):
         raise InvalidModelError("commensurable_expand: C entries must be finite")
     s = np.asarray(scalars, dtype=float)
     _check_scalar_weights(s, "scalar weights")
-    edges = tuple(CouplingEdge(*t) for t in _expanded_weights(c, s))
-    scalar_lap = np.diag(s.sum(axis=1)) - s
-    return edges, scalar_lap
+    return tuple(CouplingEdge(*t) for t in _expanded_weights(c, s))
 
 
 @dataclass(frozen=True)
@@ -316,8 +313,8 @@ def commensurable_graph(c_dissipative, c_restorative, d_scalars, r_scalars,
     if cc.c_dissipative.shape[1] != cc.c_restorative.shape[1]:
         raise InvalidModelError(
             "commensurable C matrices must have the same number of columns")
-    d_edges, _ = commensurable_expand(cc.c_dissipative, cc.d_scalars)
-    r_edges, _ = commensurable_expand(cc.c_restorative, cc.r_scalars)
+    d_edges = commensurable_expand(cc.c_dissipative, cc.d_scalars)
+    r_edges = commensurable_expand(cc.c_restorative, cc.r_scalars)
     return CouplingGraph(cc.q, d_edges, r_edges, epsilon, commensurable=cc)
 
 

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import oscnet.criteria as criteria
 from oscnet import (CouplingEdge, CouplingGraph, OscillatorModel,
                     UnsupportedConfigurationError, admittance_matrix,
-                    commensurable_check, commensurable_graph, complex_eig,
-                    harmonic_check, modal_transform, normalize,
+                    build_report, commensurable_check, commensurable_graph,
+                    complex_eig, harmonic_check, modal_transform, normalize,
                     pure_dissipative_check, sym_eig, sync_check_spectral,
                     sync_check_subspace, weak_coupling_bound)
 
@@ -307,6 +308,50 @@ class TestModalForm:
             assert vals[0] >= -1e-10 * max(abs(vals[-1]), 1.0)
 
 
+def reference_gap_and_dissipation(system):
+    """mu-bar and gamma-bar with plain numpy: eigh of each B_kk, clusters
+    at the relative gap 1e-8, the vector 1 projected out of each cluster,
+    an SVD basis of what is left, and eigvalsh of G_kk on that basis."""
+    q = system.q
+    ones = np.full(q, 1.0 / np.sqrt(q))
+    gaps, gamma_sq = [], []
+    for k in range(system.n):
+        e = np.kron(np.eye(q), system.mode_shapes[:, [k]])
+        g_kk = e.T @ system.lap_dissipative @ e
+        vals, vecs = np.linalg.eigh(e.T @ system.lap_restorative @ e)
+        cut = 1e-8 * np.abs(vals).max()
+        bounds = [0] + [i for i in range(1, q) if vals[i] - vals[i - 1] > cut] + [q]
+        clusters = list(zip(bounds[:-1], bounds[1:]))
+        gaps.extend(np.diff([vals[a:b].mean() for a, b in clusters]))
+        for a, b in clusters:
+            basis = vecs[:, a:b] - np.outer(ones, ones @ vecs[:, a:b])
+            left, sv, _ = np.linalg.svd(basis, full_matrices=False)
+            w = left[:, sv > 1e-8]
+            if w.shape[1]:
+                gamma_sq.append(np.linalg.eigvalsh(w.T @ g_kk @ w)[0])
+    return 0.5 * min(gaps), np.sqrt(max(min(gamma_sq), 0.0))
+
+
+# Spring graphs with identity weights whose restorative blocks have repeated
+# eigenvalues: q - 1 equal ones (complete graphs) or a double zero (two
+# disjoint pairs).  Random dampers on a path keep every mode damped.
+DEGENERATE_SPRINGS = {
+    "complete-3": (3, list(itertools.combinations(range(1, 4), 2))),
+    "complete-4": (4, list(itertools.combinations(range(1, 5), 2))),
+    "two-pairs-4": (4, [(1, 2), (3, 4)]),
+}
+
+
+def degenerate_spring_graph(name):
+    q, pairs = DEGENERATE_SPRINGS[name]
+    rng = np.random.default_rng(sorted(DEGENERATE_SPRINGS).index(name))
+    model = random_model(rng, 2)
+    dampers = tuple(CouplingEdge(i, i + 1, random_psd_weight(rng, 2, rank=2))
+                    for i in range(1, q))
+    springs = tuple(CouplingEdge(i, j, np.eye(2)) for i, j in pairs)
+    return model, CouplingGraph(q, dampers, springs)
+
+
 class TestWeakCouplingBound:
     def test_worked_diagonal_instance(self, worked_system):
         bound = weak_coupling_bound(worked_system)
@@ -369,6 +414,34 @@ class TestWeakCouplingBound:
             verdict = sync_check_spectral(system, eps=0.99 * bound.radius)
             assert verdict.synchronizes == "yes"
         assert hits == 8
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SPRINGS))
+    def test_matches_reference(self, name):
+        system = normalize(*degenerate_spring_graph(name))
+        bound = weak_coupling_bound(system)
+        mu_bar, gamma_bar = reference_gap_and_dissipation(system)
+        assert bound.mu_bar == pytest.approx(mu_bar, rel=1e-12)
+        assert bound.gamma_bar == pytest.approx(gamma_bar, rel=1e-12)
+        assert bound.gamma_bar > 0.0 and bound.status == "ok"
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SPRINGS))
+    def test_ignores_labels_and_edge_order(self, name):
+        model, graph = degenerate_spring_graph(name)
+        bound = weak_coupling_bound(normalize(model, graph))
+        perm = np.random.default_rng(5).permutation(graph.q) + 1
+
+        def relabel(edges):
+            return tuple((min(perm[e.i - 1], perm[e.j - 1]),
+                          max(perm[e.i - 1], perm[e.j - 1]), e.weight)
+                         for e in edges)
+        for other in (CouplingGraph(graph.q, relabel(graph.dissipative),
+                                    relabel(graph.restorative)),
+                      CouplingGraph(graph.q, graph.dissipative[::-1],
+                                    graph.restorative[::-1])):
+            got = weak_coupling_bound(normalize(model, other))
+            for field in ("mu_bar", "gamma_bar", "radius"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(bound, field), rel=1e-12), field
 
 
 class TestPureDissipative:
@@ -458,6 +531,8 @@ class TestCommensurable:
         assert not report.observable_dissipative
         assert report.alpha[1] == pytest.approx(0.0, abs=1e-14)
         assert report.verdict.synchronizes == "no"
+        assert report.verdict.diagnostic == (
+            "the dissipative output matrix misses at least one mode")
         assert sync_check_spectral(normalize(model, graph)).synchronizes == "no"
 
     def test_observable_modes_pass(self):
@@ -501,6 +576,26 @@ class TestCommensurable:
         assert report.weak_coupling_sufficient
         assert report.radius is not None and report.radius > 0
         assert report.scalar_margin == pytest.approx(2.0, abs=1e-9)
+
+    def test_weak_coupling_bound_computed_once(self, monkeypatch):
+        model = OscillatorModel(np.eye(3), np.diag([1.0, 4.0, 9.0]))
+        ring = np.ones((3, 3)) - np.eye(3)
+        graph = commensurable_graph(np.array([[1.0, 1.0, 1.0]]),
+                                    np.array([[1.0, -0.5, 0.3]]), ring, ring)
+        system = normalize(model, graph)
+        assert commensurable_check(system).radius == weak_coupling_bound(system).radius
+        assert weak_coupling_bound(system) is weak_coupling_bound(system)
+        # build_report runs the bound and commensurable_check on one system:
+        # one symmetric eigensolve per mode in all
+        calls = []
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return sym_eig(a)
+        monkeypatch.setattr(criteria, "sym_eig", spy)
+        report = build_report(model, graph)
+        assert report["commensurable"]["radius"] == report["weak_coupling"]["radius"]
+        assert calls == [(2, 2)] * system.n
 
     def test_diagonal_blocks_factor_through_scalars(self, rng):
         # with identity mass, each diagonal modal block is alpha_k times the

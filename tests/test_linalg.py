@@ -3,7 +3,6 @@ import pytest
 
 from oscnet import (InvalidInputError, complex_eig, nullspace_basis,
                     spectral_norm, sym_eig)
-from oscnet.linalg import eigenvalue_clusters, orthonormal_columns
 
 from conftest import assert_multiset_close, charpoly_roots, random_orthogonal
 
@@ -174,16 +173,3 @@ class TestSpectralNorm:
         embed = np.block([[x, -y], [y, x]])
         ref = np.linalg.svd(embed, compute_uv=False)[0]
         assert spectral_norm(x + 1j * y) == pytest.approx(ref, rel=1e-10)
-
-
-class TestHelpers:
-    def test_clusters(self):
-        vals = np.array([0.0, 1e-12, 1.0, 1.0 + 5e-9, 3.0])
-        assert eigenvalue_clusters(vals, 1e-8) == [(0, 2), (2, 4), (4, 5)]
-
-    def test_orthonormal_columns_drops_dependent(self, rng):
-        q = random_orthogonal(rng, 5)
-        cols = np.column_stack([q[:, 0], q[:, 1], q[:, 0] + q[:, 1]])
-        out = orthonormal_columns(cols)
-        assert out.shape == (5, 2)
-        assert np.allclose(out.T @ out, np.eye(2), atol=1e-12)
