@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, InvalidInputError, InvalidModelError,
                      NumericalFailureError, OscnetError,
                      UnsupportedConfigurationError)
-from .linalg import complex_eig, nullspace_basis, spectral_norm, sym_eig
+from .linalg import (complex_eig, nullspace_basis, spectral_norm, sym_eig,
+                     sym_norm)
 from .model import (ArraySystem, CommensurableCoupling, CouplingEdge,
                     CouplingGraph, OscillatorModel, admittance_matrix,
                     array_stiffness, build_laplacian, build_mass_spring_chain,
@@ -22,7 +23,7 @@ from .criteria import (CommensurableReport, ModalForm, SyncVerdict,
                        WeakCouplingBound, commensurable_check, harmonic_check,
                        modal_transform, pure_dissipative_check,
                        sync_check_spectral, sync_check_subspace,
-                       weak_coupling_bound)
+                       sync_sweep, weak_coupling_bound)
 from .simulate import (CounterexampleMode, SimulationTrace, counterexample_ic,
                        default_time_step, energy, integrate,
                        random_initial_state, sync_error)
@@ -41,7 +42,7 @@ __all__ = [
     "counterexample_ic", "default_time_step", "energy", "harmonic_check",
     "integrate", "modal_transform", "normalize", "nullspace_basis",
     "parse_config", "pure_dissipative_check", "random_initial_state",
-    "spectral_norm", "sym_eig",
-    "sync_check_spectral", "sync_check_subspace", "sync_error",
+    "spectral_norm", "sym_eig", "sym_norm",
+    "sync_check_spectral", "sync_check_subspace", "sync_error", "sync_sweep",
     "weak_coupling_bound", "write_config",
 ]

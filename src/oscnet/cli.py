@@ -22,7 +22,7 @@ from . import __version__
 from .criteria import (CLUSTER_GAP_TOL, VERDICT_TOL, commensurable_check,
                        harmonic_check, pure_dissipative_check,
                        sync_check_spectral, sync_check_subspace,
-                       weak_coupling_bound)
+                       sync_sweep, weak_coupling_bound)
 from .errors import (ConfigError, InvalidInputError, InvalidModelError,
                      NumericalFailureError, OscnetError,
                      UnsupportedConfigurationError)
@@ -336,15 +336,13 @@ def _cmd_sweep(args):
     if args.eps_steps < 1 or args.eps_min < 0 or args.eps_max < args.eps_min:
         raise InvalidInputError("sweep needs 0 <= eps-min <= eps-max and eps-steps >= 1")
     grid = np.linspace(args.eps_min, args.eps_max, args.eps_steps)
-    rows = []
-    for e in grid:
-        verdict = sync_check_spectral(system, eps=float(e))
-        rows.append((float(e), verdict.margin, verdict.synchronizes))
+    verdicts = sync_sweep(system, grid)
     with open(args.out, "w", newline="") as fh:
         fh.write("eps,margin,verdict\n")
-        for e, margin, verdict in rows:
-            fh.write(f"{format(e, '.17g')},{format(margin, '.17g')},{verdict}\n")
-    print(f"wrote {len(rows)} rows to {args.out}", file=_sys.stderr)
+        for e, v in zip(grid, verdicts):
+            fh.write(f"{format(e, '.17g')},{format(v.margin, '.17g')},"
+                     f"{v.synchronizes}\n")
+    print(f"wrote {len(verdicts)} rows to {args.out}", file=_sys.stderr)
     return EXIT_OK
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import UnsupportedConfigurationError
 from .linalg import (DEFAULT_RANK_TOL, _lapack, complex_eig, nullspace_basis,
-                     spectral_norm, sym_eig)
+                     spectral_norm, sym_eig, sym_norm)
 from .model import (ArraySystem, ModalBlocks, _readonly, _resolve_eps,
-                    admittance_matrix, array_stiffness)
+                    _synchrony_complement)
 
 # An eigenvalue counts as on the imaginary axis when its real part is at
 # most VERDICT_TOL * max(scale, 1); margins within 10x of that threshold
@@ -34,8 +34,8 @@ CLUSTER_GAP_TOL = 1e-8
 class SyncVerdict:
     """Outcome of one synchronization test.
 
-    ``margin`` is the real part of the first eigenvalue beyond the n
-    guaranteed imaginary-axis ones (or the relevant second-smallest
+    ``margin`` is the smallest real part among the eigenvalues beyond the
+    n guaranteed imaginary-axis ones (or the relevant second-smallest
     eigenvalue for the specialized tests); for the subspace route it is
     the smallest singular value its staircase dropped, or None if it
     dropped none.  ``tolerance`` is the threshold in effect.
@@ -66,21 +66,35 @@ def _classify(n_expected, count, margin, tau, method, why_no=None):
     return SyncVerdict(verdict, count, float(margin), method, tau, diagnostic)
 
 
-def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerdict:
-    """Spectral synchronization test.
+def sync_sweep(sys: ArraySystem, eps_grid, tol=VERDICT_TOL) -> list[SyncVerdict]:
+    """Spectral synchronization test at each coupling strength of a grid.
 
     Counts eigenvalues of the complex criterion matrix on the imaginary
-    axis; the array synchronizes exactly when that count is n.  The margin
-    is the real part of the (n+1)-th smallest eigenvalue (by real part).
+    axis; the array synchronizes exactly when that count is n.  The n
+    synchronous eigenvalues are always there, so the count is n plus that
+    of the deflated matrix Gamma'(eps) of :attr:`ArraySystem.deflated`,
+    and the margin is the smallest real part of its eigenvalues.  The
+    tolerance tol * max(||Gamma'||, omega_n^2, 1) equals tol * max(||Gamma||, 1).
+    The whole grid is one stack: one eigenvalue call and one norm call.
     """
-    e = _resolve_eps(sys, eps)
-    gam = admittance_matrix(sys, e)
-    vals = complex_eig(gam)
-    re = np.sort(vals.real)
-    tau = tol * max(spectral_norm(gam), 1.0)
-    count = int(np.count_nonzero(re <= tau))
-    margin = float(re[sys.n]) if re.size > sys.n else math.inf
-    return _classify(sys.n, count, margin, tau, "spectral")
+    eps = np.array([_resolve_eps(sys, e) for e in eps_grid])
+    n = sys.n
+    floor = max(float(sys.freqs_sq[-1]), 1.0)
+    if sys.q == 1:
+        return [_classify(n, n, math.inf, tol * floor, "spectral") for _ in eps]
+    d = sys.deflated
+    gam = d.dissipative + 1j * (d.stiffness + eps[:, None, None] * d.restorative)
+    re = complex_eig(gam).real
+    taus = tol * np.maximum(spectral_norm(gam), floor)
+    counts = n + np.count_nonzero(re <= taus[:, None], axis=1)
+    return [_classify(n, int(c), float(r[0]), float(t), "spectral")
+            for c, r, t in zip(counts, re, taus)]
+
+
+def sync_check_spectral(sys: ArraySystem, eps=None, tol=VERDICT_TOL) -> SyncVerdict:
+    """Spectral synchronization test at one coupling strength (the default
+    is the graph's); see :func:`sync_sweep`."""
+    return sync_sweep(sys, [eps], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -100,37 +114,27 @@ class SubspaceAnalysis:
     basis: np.ndarray
 
 
-def _synchrony_complement(q, n):
-    """Orthonormal basis of 1-perp (x) I_n, the motions orthogonal to
-    synchrony: one Householder reflector maps 1/sqrt(q) to -e_1, so its
-    other q - 1 columns span 1-perp exactly."""
-    v = np.full(q, 1.0 / math.sqrt(q))
-    v[0] += 1.0
-    reflector = np.eye(q) - np.outer(v, v) / v[0]
-    return np.kron(reflector[:, 1:], np.eye(n))
-
-
 def subspace_analysis(sys: ArraySystem, eps=None,
                       rank_tol=DEFAULT_RANK_TOL) -> SubspaceAnalysis:
     """Deflated observability staircase of the position coupling S and the
     dissipative Laplacian L_d (Paige, IEEE TAC 26(1), 1981).
 
-    On the complement U of the synchronous subspace, with S' = U^T S U,
-    start from Z = null(U^T L_d U) and repeat: keep the right singular
-    vectors of R = (I - Z Z^T) S' Z whose singular value is at most
+    On the complement U of the synchronous subspace, with S' = U^T S U and
+    L_d' = U^T L_d U from :attr:`ArraySystem.deflated`, start from
+    Z = null(L_d') and repeat: keep the right singular vectors of
+    R = (I - Z Z^T) S' Z whose singular value is at most
     tau = rank_tol * ||S'||_2, until none is dropped.  What is left is the
     largest S'-invariant subspace in the null space; the on-axis count is
     n + dim Z.  The routine never forms the criterion matrix.
     """
     q, n = sys.q, sys.n
-    s = array_stiffness(sys, eps)
-    u = _synchrony_complement(q, n)
-    sp = u.T @ s @ u
-    tau = rank_tol * spectral_norm(sp)
+    d = sys.deflated
+    sp = d.stiffness + _resolve_eps(sys, eps) * d.restorative
+    tau = rank_tol * sym_norm(sp)
     if q == 1:
         z = np.zeros((0, 0))       # nothing moves orthogonally to synchrony
     else:
-        z = nullspace_basis(u.T @ sys.lap_dissipative @ u, rank_tol)
+        z = nullspace_basis(d.dissipative, rank_tol)
     margin = None
     while z.shape[1]:
         sz = sp @ z
@@ -142,7 +146,7 @@ def subspace_analysis(sys: ArraySystem, eps=None,
         dropped = float(sigma[~keep].min())
         margin = dropped if margin is None else min(margin, dropped)
         z = z @ vt[keep].T
-    return SubspaceAnalysis(n + z.shape[1], margin, tau, u @ z)
+    return SubspaceAnalysis(n + z.shape[1], margin, tau, d.basis @ z)
 
 
 def sync_check_subspace(sys: ArraySystem, eps=None,
@@ -333,8 +337,9 @@ def _weak_coupling_bound(sys):
                 rvals = _lapack("weak_coupling_bound", np.linalg.eigvalsh,
                                 h[np.ix_(idx, idx)])
                 gamma_sq.append(float(rvals[0]))
-    norm_g = spectral_norm(mf.dissipative)
-    norm_b = spectral_norm(mf.restorative)
+    # G and B are similar to L_d and L_r, which vanish on synchrony
+    norm_g = sym_norm(sys.deflated.dissipative)
+    norm_b = sym_norm(sys.deflated.restorative)
     gamma_bar = math.sqrt(max(min(gamma_sq), 0.0))
     margins = _readonly(mf.combined_real[:, 1])
     lambda2_g = _readonly(mf.dissipative_spectra[:, 1])

@@ -17,18 +17,20 @@ from .errors import InvalidInputError, NumericalFailureError
 DEFAULT_RANK_TOL = 1e-9
 
 
-def _as_matrix(a, name, dtype=float):
+def _as_matrix(a, name, dtype=float, stack=False):
+    """Check a 2-d matrix, or with ``stack`` also a 3-d stack of them."""
     m = np.asarray(a, dtype=dtype)
-    if m.ndim != 2:
-        raise InvalidInputError(f"{name}: expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        what = "a 2-d matrix or a stack of them" if stack else "a 2-d matrix"
+        raise InvalidInputError(f"{name}: expected {what}, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{name}: entries must be finite")
     return m
 
 
-def _as_square(a, name, dtype=float):
-    m = _as_matrix(a, name, dtype=dtype)
-    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
+def _as_square(a, name, dtype=float, stack=False):
+    m = _as_matrix(a, name, dtype=dtype, stack=stack)
+    if m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvalidInputError(
             f"{name}: expected a nonempty square matrix, got shape {m.shape}")
     return m
@@ -67,16 +69,20 @@ def complex_eig(a):
     """Eigenvalues (with multiplicity) of a square complex matrix.
 
     Uses LAPACK ``geev`` (balancing, Hessenberg reduction, shifted QR).
-    The returned array is sorted by (real part, imaginary part).
+    The returned array is sorted by (real part, imaginary part).  A stack
+    of shape ``(m, k, k)`` gives one sorted row per matrix, each the same
+    as for that matrix alone.
 
     Raises
     ------
+    InvalidInputError
+        If the input is not square or has a non-finite entry.
     NumericalFailureError
         If LAPACK fails to converge.
     """
-    m = _as_square(a, "complex_eig", dtype=complex)
+    m = _as_square(a, "complex_eig", dtype=complex, stack=True)
     vals = _lapack("complex_eig", np.linalg.eigvals, m)
-    return vals[np.lexsort((vals.imag, vals.real))]
+    return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real)), axis=-1)
 
 
 def nullspace_basis(a, tol=DEFAULT_RANK_TOL):
@@ -96,9 +102,27 @@ def nullspace_basis(a, tol=DEFAULT_RANK_TOL):
 
 
 def spectral_norm(a):
-    """Largest singular value of a real or complex matrix (LAPACK SVD)."""
+    """Largest singular value of a real or complex matrix (LAPACK SVD,
+    values only); an array of them, one per matrix, for a 3-d stack."""
     m = np.asarray(a)
-    m = _as_matrix(m, "spectral_norm", complex if np.iscomplexobj(m) else float)
+    m = _as_matrix(m, "spectral_norm", complex if np.iscomplexobj(m) else float,
+                   stack=True)
+    if m.size == 0:
+        norms = np.zeros(m.shape[:-2])
+    else:
+        norms = _lapack("spectral_norm", np.linalg.norm, m, 2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
+
+
+def sym_norm(a):
+    """Spectral norm of a real symmetric matrix: the largest magnitude of
+    its eigenvalues (LAPACK ``syevd``, values only, lower triangle read);
+    0 for an empty matrix."""
+    m = _as_matrix(a, "sym_norm")
+    if m.shape[0] != m.shape[1]:
+        raise InvalidInputError(
+            f"sym_norm: expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    return float(_lapack("spectral_norm", np.linalg.norm, m, 2))
+    vals = _lapack("sym_norm", np.linalg.eigvalsh, m)
+    return float(max(-vals[0], vals[-1]))

@@ -4,12 +4,13 @@ An array of ``q`` identical units ``M x'' + K x = 0`` is coupled through
 per-edge positive semidefinite matrix weights: dissipative weights act on
 velocity differences, restorative weights on position differences.  This
 module validates that data, moves it to mass-normalized coordinates
-(``z = M^{1/2} x``), and assembles the block Laplacians and the complex
-criterion matrix used by the synchronization tests.
+(``z = M^{1/2} x``), and assembles the block Laplacians, their modal and
+deflated forms, and the complex criterion matrix of the paper.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -363,6 +364,34 @@ class ModalBlocks:
 
 
 @dataclass(frozen=True)
+class DeflatedForm:
+    """The coupling of an array on 1-perp (x) I_n, the motions orthogonal
+    to synchrony; independent of eps.
+
+    The criterion matrix is orthogonally similar to j K~ on synchrony plus
+    ``dissipative + j (stiffness + eps * restorative)`` on its complement,
+    so only the latter decides synchronization.  ``basis`` is U, and each
+    matrix is U^T X U of the array matrix X, symmetrized; ``stiffness`` is
+    U^T (I_q (x) K~) U = I_{q-1} (x) K~, formed exactly.
+    """
+
+    basis: np.ndarray         # qn x (q-1)n, orthonormal columns
+    dissipative: np.ndarray   # (q-1)n x (q-1)n, PSD
+    stiffness: np.ndarray     # (q-1)n x (q-1)n, positive definite
+    restorative: np.ndarray   # (q-1)n x (q-1)n, PSD
+
+
+def _synchrony_complement(q, n):
+    """Orthonormal basis of 1-perp (x) I_n, the motions orthogonal to
+    synchrony: one Householder reflector maps 1/sqrt(q) to -e_1, so its
+    other q - 1 columns span 1-perp exactly."""
+    v = np.full(q, 1.0 / math.sqrt(q))
+    v[0] += 1.0
+    reflector = np.eye(q) - np.outer(v, v) / v[0]
+    return np.kron(reflector[:, 1:], np.eye(n))
+
+
+@dataclass(frozen=True)
 class ArraySystem:
     """Array in mass-normalized coordinates, with all derived matrices.
 
@@ -411,6 +440,17 @@ class ArraySystem:
             np.array([sym_eig(g_blocks[k, k])[0] for k in range(n)]),
             np.array([complex_eig(g_blocks[k, k] + 1j * b_blocks[k, k]).real
                       for k in range(n)]))
+
+    @cached_property
+    def deflated(self) -> DeflatedForm:
+        """The array on the motions orthogonal to synchrony, computed on
+        first use."""
+        u = _synchrony_complement(self.q, self.n)
+        ld, lr = (u.T @ lap @ u for lap in (self.lap_dissipative,
+                                             self.lap_restorative))
+        return DeflatedForm(u, 0.5 * (ld + ld.T),
+                            np.kron(np.eye(self.q - 1), self.normalized_stiffness),
+                            0.5 * (lr + lr.T))
 
 
 def normalize(model: OscillatorModel, graph: CouplingGraph) -> ArraySystem:

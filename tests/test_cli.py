@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscnet
 from oscnet import ConfigError, parse_config, write_config
 from oscnet.cli import build_report, dumps_json, main
+
+from conftest import random_system
 
 
 @pytest.fixture
@@ -332,3 +338,52 @@ class TestSweep:
     def test_rejects_bad_grid(self, bound_example_config):
         assert main(["sweep", bound_example_config, "--eps-min", "1.0",
                      "--eps-max", "0.5", "--eps-steps", "3"]) == 1
+
+    def test_overflowing_eps_is_invalid_input(self, bound_example_config,
+                                              tmp_path, capsys):
+        out = tmp_path / "overflow.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", bound_example_config, "--eps-min", "0",
+                         "--eps-max", "1e308", "--eps-steps", "3",
+                         "--out", str(out)])
+        assert code == 1
+        assert "entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestByteDeterminism:
+    """Two runs in fresh interpreters, with the same environment and one
+    BLAS thread, write the same bytes."""
+
+    def run_twice(self, argv, tmp_path):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(oscnet.__file__)))
+        blobs = []
+        for k in range(2):
+            out = tmp_path / f"run{k}.out"
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from oscnet.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        return blobs[0]
+
+    @pytest.fixture
+    def array_config(self, tmp_path):
+        system = random_system(np.random.default_rng(11), q=6, n=4,
+                               connected=True, with_restorative=True)
+        path = tmp_path / "array.json"
+        write_config(system.model, system.graph, str(path))
+        return str(path)
+
+    def test_analyze(self, array_config, tmp_path):
+        report = self.run_twice(["analyze", array_config], tmp_path)
+        assert json.loads(report)["model"]["q"] == 6
+
+    def test_sweep(self, array_config, tmp_path):
+        table = self.run_twice(["sweep", array_config, "--eps-min", "0",
+                                "--eps-max", "2", "--eps-steps", "9"], tmp_path)
+        assert len(table.decode().splitlines()) == 10

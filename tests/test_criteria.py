@@ -9,7 +9,7 @@ from oscnet import (CouplingEdge, CouplingGraph, OscillatorModel,
                     build_report, commensurable_check, commensurable_graph,
                     complex_eig, harmonic_check, modal_transform, normalize,
                     pure_dissipative_check, sym_eig, sync_check_spectral,
-                    sync_check_subspace, weak_coupling_bound)
+                    sync_check_subspace, sync_sweep, weak_coupling_bound)
 
 from conftest import (assert_multiset_close, components_count,
                       observability_rank_deficient, random_edge_pairs,
@@ -225,6 +225,88 @@ class TestStructuredFamilies:
                 got = sync_check_subspace(normalize(model, other))
                 assert got.imaginary_axis_count == verdict.imaginary_axis_count, name
                 assert got.synchronizes == verdict.synchronizes, name
+
+
+def full_gamma_reference(system, eps, tol=criteria.VERDICT_TOL):
+    """Count, margin and tolerance from the whole qn x qn criterion matrix,
+    the way the spectral route decided before it was deflated; the verdict
+    is None inside the 10x band."""
+    q, n = system.q, system.n
+    gam = system.lap_dissipative + 1j * (
+        np.kron(np.eye(q), system.normalized_stiffness)
+        + eps * system.lap_restorative)
+    re = np.sort(np.linalg.eigvals(gam).real)
+    tau = tol * max(np.linalg.norm(gam, 2), 1.0)
+    count = int(np.count_nonzero(re <= tau))
+    margin = re[n] if q > 1 else np.inf
+    verdict = ("no" if margin <= tau else
+               "yes" if margin > 10.0 * tau and count == n else None)
+    return verdict, count, margin, tau
+
+
+class TestDeflatedRoute:
+    def check_against_full(self, system, eps, name):
+        verdict, count, _, tau = full_gamma_reference(system, eps)
+        got = sync_check_spectral(system, eps=eps)
+        assert got.tolerance == pytest.approx(tau, rel=1e-12), name
+        if verdict is None or got.synchronizes == "indeterminate":
+            return 0
+        assert got.synchronizes == verdict, name
+        assert got.imaginary_axis_count == count, name
+        return 1
+
+    def test_families_count_as_the_full_matrix(self):
+        decided = sum(self.check_against_full(normalize(model, graph), 1.0, name)
+                      for name, model, graph in damper_families())
+        assert decided >= 230
+
+    def test_random_corpus_counts_as_the_full_matrix(self):
+        decided = 0
+        for seed in range(150):
+            rng = np.random.default_rng(7000 + seed)
+            system = random_system(rng)
+            for eps in (0.0, 0.3, 1.0, 2.5):
+                decided += self.check_against_full(system, eps, f"seed {seed}")
+        assert decided >= 570
+
+    def test_deflated_form_is_orthogonal_and_kills_synchrony(self, rng):
+        system = random_system(rng, q=5, n=3, with_restorative=True)
+        d = system.deflated
+        u = d.basis
+        assert u.shape == (15, 12)
+        assert np.allclose(u.T @ u, np.eye(12), atol=1e-14)
+        assert np.abs(np.kron(np.ones(5), np.eye(3)) @ u).max() <= 1e-14
+        assert np.allclose(d.dissipative, u.T @ system.lap_dissipative @ u,
+                           atol=1e-13)
+        assert np.array_equal(d.stiffness,
+                              np.kron(np.eye(4), system.normalized_stiffness))
+        assert system.deflated is d
+
+    def test_sweep_rows_equal_single_point_calls(self):
+        for seed in range(40):
+            rng = np.random.default_rng(9100 + seed)
+            system = random_system(rng)
+            grid = np.linspace(0.0, 3.0, 7)
+            rows = sync_sweep(system, grid)
+            assert rows == [sync_check_spectral(system, eps=e) for e in grid]
+
+    def test_sweep_of_a_single_oscillator(self):
+        system = normalize(OscillatorModel(np.eye(2), np.diag([1.0, 4.0])),
+                           CouplingGraph(1))
+        rows = sync_sweep(system, [0.0, 1.0, 2.0])
+        assert [(r.synchronizes, r.imaginary_axis_count, r.margin)
+                for r in rows] == [("yes", 2, np.inf)] * 3
+        assert rows[0].tolerance == 4e-8
+
+    def test_sweep_finds_the_resonance_on_the_grid(self):
+        rows = sync_sweep(resonant_system(), np.linspace(0.0, 2.0, 5))
+        assert [r.synchronizes for r in rows] == ["yes", "yes", "no", "yes", "yes"]
+        assert rows[2].imaginary_axis_count == 3
+
+    def test_sweep_validates_every_strength(self, worked_system):
+        from oscnet import InvalidInputError
+        with pytest.raises(InvalidInputError):
+            sync_sweep(worked_system, [0.5, -1.0])
 
 
 class TestMethodAgreement:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oscnet import (InvalidInputError, complex_eig, nullspace_basis,
-                    spectral_norm, sym_eig)
+from oscnet import (InvalidInputError, NumericalFailureError, complex_eig,
+                    nullspace_basis, spectral_norm, sym_eig, sym_norm)
 
 from conftest import assert_multiset_close, charpoly_roots, random_orthogonal
 
@@ -104,6 +104,33 @@ class TestComplexEig:
         with pytest.raises(InvalidInputError):
             complex_eig(np.zeros((3, 2)))
 
+    def test_stack_rows_equal_single_calls(self, rng):
+        stack = rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7))
+        got = complex_eig(stack)
+        assert got.shape == (5, 7)
+        for row, a in zip(got, stack):
+            assert np.array_equal(row, complex_eig(a))
+
+    def test_stack_keeps_the_finite_check(self):
+        stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        stack[1, 0, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="entries must be finite"):
+            complex_eig(stack)
+
+    def test_stack_maps_lapack_failure(self, monkeypatch):
+        import oscnet.linalg as linalg_mod
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(linalg_mod.np.linalg, "eigvals", boom)
+        with pytest.raises(NumericalFailureError, match="complex_eig"):
+            complex_eig(np.stack([np.eye(2), np.eye(2)]))
+
+    def test_rejects_four_dimensional_input(self):
+        with pytest.raises(InvalidInputError):
+            complex_eig(np.zeros((2, 2, 3, 3)))
+
 
 class TestNullspace:
     def test_edge_laplacian_kernel(self):
@@ -173,3 +200,41 @@ class TestSpectralNorm:
         embed = np.block([[x, -y], [y, x]])
         ref = np.linalg.svd(embed, compute_uv=False)[0]
         assert spectral_norm(x + 1j * y) == pytest.approx(ref, rel=1e-10)
+
+    def test_stack_rows_equal_single_calls(self, rng):
+        stack = rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6))
+        got = spectral_norm(stack)
+        assert got.shape == (4,)
+        for norm, a in zip(got, stack):
+            assert norm == spectral_norm(a)
+        assert isinstance(spectral_norm(stack[0]), float)
+
+    def test_stack_keeps_the_finite_check(self):
+        stack = np.zeros((2, 3, 3))
+        stack[0, 1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="entries must be finite"):
+            spectral_norm(stack)
+
+    def test_empty_matrices(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert np.array_equal(spectral_norm(np.zeros((3, 0, 0))), np.zeros(3))
+
+
+class TestSymNorm:
+    def test_matches_spectral_norm(self, rng):
+        for _ in range(5):
+            a = rng.standard_normal((7, 7))
+            a = a + a.T
+            assert sym_norm(a) == pytest.approx(spectral_norm(a), rel=1e-12)
+
+    def test_negative_definite(self):
+        assert sym_norm(np.diag([-3.0, 1.0])) == 3.0
+
+    def test_empty_is_zero(self):
+        assert sym_norm(np.zeros((0, 0))) == 0.0
+
+    def test_rejects_nonsquare_and_nonfinite(self):
+        with pytest.raises(InvalidInputError):
+            sym_norm(np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError, match="entries must be finite"):
+            sym_norm(np.diag([1.0, np.inf]))
